@@ -1,7 +1,7 @@
 """Covert-communication performance of a self-sustained amplify-and-forward relay.
 
 Library layout:
-    params      system constants, units, path loss, channel sampling, config I/O
+    params      system constants, units, path loss, config I/O
     relaying    per-realization power allocation and SNR/SINR algebra
     detection   source-side detection performance and optimal threshold
     rates       fading-averaged covert rates and the efficiency optimization
@@ -12,7 +12,6 @@ Library layout:
 """
 
 from .detection import (
-    Covertness,
     DetectionPoint,
     detection_error,
     false_alarm,
@@ -31,14 +30,12 @@ from .params import (
     load_config,
     path_loss,
     relay_noise_power,
-    sample_channel,
     watts_to_dbm,
 )
 from .rates import (
     OptimizationOutcome,
     RateResult,
     average_covert_rate,
-    effective_covert_rate,
     max_effective_covert_rate,
     optimal_eta1,
     optimize_harvest_fraction,
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelDraw",
-    "Covertness",
     "DetectionPoint",
     "LinkGains",
     "OptimizationOutcome",
@@ -83,7 +79,6 @@ __all__ = [
     "dbm_to_watts",
     "default_params",
     "detection_error",
-    "effective_covert_rate",
     "false_alarm",
     "harvested_power_total",
     "load_config",
@@ -95,7 +90,6 @@ __all__ = [
     "optimize_harvest_fraction",
     "path_loss",
     "relay_noise_power",
-    "sample_channel",
     "simulate_covert_rate",
     "simulate_detection",
     "sinr_h1",

@@ -2,7 +2,7 @@
 
 Subcommands reproduce the study's figures as CSV, run generic parameter
 sweeps, and execute the validation suite. Exit codes: 0 success, 1
-validation failure, 2 usage or config-parse error.
+validation failure, 2 usage, config-parse or file I/O error.
 """
 
 from __future__ import annotations
@@ -98,13 +98,12 @@ def _load(args) -> tuple:
     return params, scheme, fraction
 
 
-def _emit(rows, out_path) -> None:
-    data = experiments.csv_bytes(rows)
+def _write(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -113,12 +112,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "config-template":
-            text = config_template()
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(config_template(), args.out)
             return EXIT_OK
 
         params, _config_scheme, fraction = _load(args)
@@ -155,22 +149,19 @@ def main(argv=None) -> int:
                 params, seed=args.seed, mc_blocks=args.mc_blocks,
                 fraction_ts=f, fraction_ps=f, perturb=perturb,
             )
-            report = validate.format_report(results)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(report + "\n")
-            else:
-                print(report)
+            _write(validate.format_report(results) + "\n", args.out)
             return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_USAGE
 
-        _emit(rows, args.out)
+        _write(experiments.csv_bytes(rows).decode("utf-8"), args.out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: unreadable --config or unwritable --out; exit 1 is
+        # reserved for validation failures.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,15 +36,6 @@ class DetectionPoint:
     xi: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class Covertness:
-    """Efficiency ratio phi = eta0/eta1, its xi*, and the target ratio phi_epsilon."""
-
-    phi: float
-    xi_star: float
-    phi_epsilon: float
-
-
 def statistic_scale(params: SystemParams, scheme: SchemeConfig, eta: float) -> float:
     """Coefficient K multiplying |h_ar|^4 in the received-power statistic.
 
@@ -161,9 +152,3 @@ def solve_phi_epsilon(epsilon: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def covertness_point(eta0: float, eta1: float, epsilon: float) -> Covertness:
-    """Bundle phi = eta0/eta1 with its xi* and the epsilon-target ratio."""
-    phi = eta0 / eta1
-    return Covertness(phi=phi, xi_star=min_detection_error(phi), phi_epsilon=solve_phi_epsilon(epsilon))

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import detection, montecarlo, rates
-from .params import PS, TS, SchemeConfig, SystemParams, dbm_to_watts
+from .params import CONFIG_FIELDS, PS, TS, SchemeConfig, SystemParams, dbm_to_watts
 
 FLOAT_DIGITS = 12  # significant digits in CSV float fields
 
@@ -33,6 +33,13 @@ FIG4_EPSILONS = (0.1, 0.2)
 FIG6_D_AR = tuple(np.linspace(2.0, 18.0, 33))
 FIG6_PA_DBM = (10.0, 20.0)
 FIG6_TOTAL_DISTANCE = 20.0
+
+
+# Fixed per variant, independent of which other schemes run alongside.
+_FIG2_STREAMS = {
+    TS: (montecarlo.STREAM_FIG2_TS_H0, montecarlo.STREAM_FIG2_TS_H1),
+    PS: (montecarlo.STREAM_FIG2_PS_H0, montecarlo.STREAM_FIG2_PS_H1),
+}
 
 
 @lru_cache(maxsize=2048)
@@ -59,29 +66,12 @@ def scheme_variants(selector: str) -> tuple[str, ...]:
 
 def params_columns(params: SystemParams) -> dict:
     """Flattened input parameters (SI units) for inclusion in every row."""
-    return {
-        "Pa_w": params.Pa,
-        "fc_hz": params.fc,
-        "m": params.m,
-        "d_ar_m": params.d_ar,
-        "d_rb_m": params.d_rb,
-        "lambda_ar": params.lambda_ar,
-        "lambda_rb": params.lambda_rb,
-        "sigma2_ra_w": params.sigma2_ra,
-        "sigma2_rc_w": params.sigma2_rc,
-        "sigma2_ba_w": params.sigma2_ba,
-        "sigma2_bc_w": params.sigma2_bc,
-        "sigma2_a_w": params.sigma2_a,
-        "eta0": params.eta0,
-        "eta_u": params.eta_u,
-        "epsilon": params.epsilon,
-        "T_block_s": params.T_block,
-    }
+    return {f.column: getattr(params, key) for key, f in CONFIG_FIELDS.items()}
 
 
 def _rate_outputs(params: SystemParams, scheme: SchemeConfig) -> dict:
     eta1_star, binding = rates.optimal_eta1(params)
-    rate = rates.effective_covert_rate(params, scheme, eta1_star)
+    rate = rates.average_covert_rate(params, scheme, eta1_star)
     phi_eps = detection.solve_phi_epsilon(params.epsilon)
     return {
         "eta1_star": eta1_star,
@@ -91,6 +81,21 @@ def _rate_outputs(params: SystemParams, scheme: SchemeConfig) -> dict:
         "quad_error": rate.quad_error,
         "binding": binding,
     }
+
+
+def _rate_rows(point: SystemParams, fraction, scheme_selector: str, **extra) -> list[dict]:
+    """One rate row per selected scheme; extra columns follow scheme and fraction."""
+    rows = []
+    for variant in scheme_variants(scheme_selector):
+        scheme = SchemeConfig(variant, resolve_fraction(point, variant, fraction))
+        rows.append({
+            "scheme": variant,
+            "fraction": scheme.fraction,
+            **extra,
+            **_rate_outputs(point, scheme),
+            **params_columns(point),
+        })
+    return rows
 
 
 def run_fig2(
@@ -123,9 +128,8 @@ def run_fig2(
         tau_star = params.sigma2_a + deltas[idx]
         taus = np.sort(np.append(tau_grid, tau_star))
         point = detection.detection_error(params, scheme, eta1, taus)
-        base_stream = 10 if scheme.variant == TS else 12  # stable per variant
         a_mc, b_mc = montecarlo.detection_curve(
-            params, scheme, eta1, taus, mc_blocks, seed, streams=(base_stream, base_stream + 1)
+            params, scheme, eta1, taus, mc_blocks, seed, streams=_FIG2_STREAMS[scheme.variant]
         )
         base = params_columns(params)
         for j, tau in enumerate(taus):
@@ -160,15 +164,7 @@ def run_fig3(
     for eta0 in eta0_values:
         for pa_dbm in pa_dbm_values:
             point = params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0)
-            for variant in scheme_variants(scheme_selector):
-                scheme = SchemeConfig(variant, resolve_fraction(point, variant, fraction))
-                rows.append({
-                    "scheme": variant,
-                    "fraction": scheme.fraction,
-                    "pa_dbm": float(pa_dbm),
-                    **_rate_outputs(point, scheme),
-                    **params_columns(point),
-                })
+            rows += _rate_rows(point, fraction, scheme_selector, pa_dbm=float(pa_dbm))
     return rows
 
 
@@ -193,15 +189,7 @@ def run_fig4(
         eta0_dagger = phi_eps * params.eta_u
         for eta0 in eta0_values:
             point = params.with_updates(eta0=float(eta0), epsilon=float(epsilon))
-            for variant in scheme_variants(scheme_selector):
-                scheme = SchemeConfig(variant, resolve_fraction(point, variant, fraction))
-                rows.append({
-                    "scheme": variant,
-                    "fraction": scheme.fraction,
-                    "eta0_dagger": eta0_dagger,
-                    **_rate_outputs(point, scheme),
-                    **params_columns(point),
-                })
+            rows += _rate_rows(point, fraction, scheme_selector, eta0_dagger=eta0_dagger)
     return rows
 
 
@@ -248,37 +236,10 @@ def run_fig6(
                 d_ar=float(d_ar),
                 d_rb=float(total_distance - d_ar),
             )
-            for variant in scheme_variants(scheme_selector):
-                scheme = SchemeConfig(variant, resolve_fraction(point, variant, fraction))
-                rows.append({
-                    "scheme": variant,
-                    "fraction": scheme.fraction,
-                    "pa_dbm": float(pa_dbm),
-                    "total_distance_m": total_distance,
-                    **_rate_outputs(point, scheme),
-                    **params_columns(point),
-                })
+            rows += _rate_rows(
+                point, fraction, scheme_selector, pa_dbm=float(pa_dbm), total_distance_m=total_distance
+            )
     return rows
-
-
-# Sweepable keys and how their config-unit values map onto SystemParams.
-_SWEEP_FIELDS = {
-    "Pa": ("Pa", dbm_to_watts),
-    "fc": ("fc", lambda v: v * 1e6),
-    "m": ("m", float),
-    "d_ar": ("d_ar", float),
-    "d_rb": ("d_rb", float),
-    "lambda_ar": ("lambda_ar", float),
-    "lambda_rb": ("lambda_rb", float),
-    "sigma2_ra": ("sigma2_ra", dbm_to_watts),
-    "sigma2_rc": ("sigma2_rc", dbm_to_watts),
-    "sigma2_ba": ("sigma2_ba", dbm_to_watts),
-    "sigma2_bc": ("sigma2_bc", dbm_to_watts),
-    "sigma2_a": ("sigma2_a", dbm_to_watts),
-    "eta0": ("eta0", float),
-    "eta_u": ("eta_u", float),
-    "epsilon": ("epsilon", float),
-}
 
 
 def run_sweep(
@@ -291,13 +252,13 @@ def run_sweep(
     """Sweep one parameter (config units) and record rate and detection outputs."""
     if param_name == "fraction":
         updates = [(float(v), params) for v in values]
-    elif param_name in _SWEEP_FIELDS:
-        field_name, conv = _SWEEP_FIELDS[param_name]
-        updates = [(None, params.with_updates(**{field_name: conv(float(v))})) for v in values]
+    elif param_name in CONFIG_FIELDS:
+        conv = CONFIG_FIELDS[param_name].to_si
+        updates = [(None, params.with_updates(**{param_name: conv(float(v))})) for v in values]
     else:
         raise ValueError(
             f"unknown sweep parameter {param_name!r}; choose one of "
-            f"{sorted(_SWEEP_FIELDS)} or 'fraction'"
+            f"{sorted(CONFIG_FIELDS)} or 'fraction'"
         )
 
     rows = []

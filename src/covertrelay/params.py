@@ -1,14 +1,16 @@
-"""System parameters, unit conversions, path loss and Rayleigh channel sampling.
+"""System parameters, unit conversions, path loss and the parameter-file schema.
 
 All internal quantities are SI (watts, hertz, meters). Config files use the
 engineering units the hardware is usually quoted in (dBm, MHz, m) and are
-converted here at load time.
+converted here at load time. CONFIG_FIELDS is the one table of parameter
+keys, units, defaults and CSV column names; everything else derives from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +68,9 @@ class SystemParams:
         eta0: baseline energy-conversion efficiency, in (0, 1).
         eta_u: hardware upper bound on conversion efficiency, in (0, 1).
         epsilon: covertness parameter in [0, 1].
-        T_block: block duration, s (normalized to 1; all per-phase energies
-            are expressed as powers times phase fractions, so T cancels).
+
+    There is no block-duration field: every per-phase energy is a power
+    times a phase fraction, so the block length cancels.
     """
 
     Pa: float
@@ -85,7 +88,6 @@ class SystemParams:
     eta0: float
     eta_u: float
     epsilon: float
-    T_block: float = 1.0
 
     def __post_init__(self):
         positive = [
@@ -94,7 +96,6 @@ class SystemParams:
             ("lambda_rb", self.lambda_rb), ("sigma2_ra", self.sigma2_ra),
             ("sigma2_rc", self.sigma2_rc), ("sigma2_ba", self.sigma2_ba),
             ("sigma2_bc", self.sigma2_bc), ("sigma2_a", self.sigma2_a),
-            ("T_block", self.T_block),
         ]
         for name, value in positive:
             if not value > 0:
@@ -180,63 +181,38 @@ def relay_noise_power(scheme: SchemeConfig, sigma2_ra: float, sigma2_rc: float) 
     return (1.0 - scheme.fraction) * sigma2_ra + sigma2_rc
 
 
-def sample_channel(rng: np.random.Generator, lam: float, size=None):
-    """Draw squared Rayleigh channel gains |h|^2 ~ Exponential(mean lam)."""
-    if lam <= 0:
-        raise ValueError(f"fading mean must be positive, got {lam}")
-    return rng.exponential(lam, size=size)
-
-
-def sample_draw(rng: np.random.Generator, params: SystemParams, size=None) -> ChannelDraw:
-    """Draw a ChannelDraw (both hops) from the fading distributions."""
-    return ChannelDraw(
-        g_ar=sample_channel(rng, params.lambda_ar, size),
-        g_rb=sample_channel(rng, params.lambda_rb, size),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Parameter files: flat "key = value" text, '#' comments, engineering units.
 # ---------------------------------------------------------------------------
 
-# (key, unit, converter to SI, description)
-_CONFIG_FIELDS = [
-    ("Pa", "dBm", dbm_to_watts, "source transmit power"),
-    ("fc", "MHz", lambda v: v * 1e6, "carrier frequency"),
-    ("m", "-", float, "path-loss exponent"),
-    ("d_ar", "m", float, "source-to-relay distance"),
-    ("d_rb", "m", float, "relay-to-destination distance"),
-    ("lambda_ar", "-", float, "mean of |h_ar|^2"),
-    ("lambda_rb", "-", float, "mean of |h_rb|^2"),
-    ("sigma2_ra", "dBm", dbm_to_watts, "relay antenna noise variance"),
-    ("sigma2_rc", "dBm", dbm_to_watts, "relay conversion noise variance"),
-    ("sigma2_ba", "dBm", dbm_to_watts, "destination antenna noise variance"),
-    ("sigma2_bc", "dBm", dbm_to_watts, "destination conversion noise variance"),
-    ("sigma2_a", "dBm", dbm_to_watts, "source receiver noise variance"),
-    ("eta0", "-", float, "baseline conversion efficiency"),
-    ("eta_u", "-", float, "conversion efficiency upper bound"),
-    ("epsilon", "-", float, "covertness parameter"),
-    ("T_block", "s", float, "block duration"),
-]
+class ConfigField(NamedTuple):
+    """One SystemParams field as it appears in parameter files and CSV rows."""
 
-DEFAULT_CONFIG_VALUES = {
-    "Pa": 20.0,
-    "fc": 900.0,
-    "m": 2.0,
-    "d_ar": 10.0,
-    "d_rb": 10.0,
-    "lambda_ar": 1.0,
-    "lambda_rb": 1.0,
-    "sigma2_ra": -80.0,
-    "sigma2_rc": -80.0,
-    "sigma2_ba": -80.0,
-    "sigma2_bc": -80.0,
-    "sigma2_a": -80.0,
-    "eta0": 0.4,
-    "eta_u": 0.8,
-    "epsilon": 0.1,
-    "T_block": 1.0,
-}
+    key: str  # SystemParams field and config-file key
+    unit: str  # config-file unit
+    to_si: Callable[[float], float]  # config-file value -> SI value
+    default: float  # in config-file units
+    column: str  # CSV column holding the SI value
+    description: str
+
+
+CONFIG_FIELDS = {f.key: f for f in (
+    ConfigField("Pa", "dBm", dbm_to_watts, 20.0, "Pa_w", "source transmit power"),
+    ConfigField("fc", "MHz", lambda v: v * 1e6, 900.0, "fc_hz", "carrier frequency"),
+    ConfigField("m", "-", float, 2.0, "m", "path-loss exponent"),
+    ConfigField("d_ar", "m", float, 10.0, "d_ar_m", "source-to-relay distance"),
+    ConfigField("d_rb", "m", float, 10.0, "d_rb_m", "relay-to-destination distance"),
+    ConfigField("lambda_ar", "-", float, 1.0, "lambda_ar", "mean of |h_ar|^2"),
+    ConfigField("lambda_rb", "-", float, 1.0, "lambda_rb", "mean of |h_rb|^2"),
+    ConfigField("sigma2_ra", "dBm", dbm_to_watts, -80.0, "sigma2_ra_w", "relay antenna noise variance"),
+    ConfigField("sigma2_rc", "dBm", dbm_to_watts, -80.0, "sigma2_rc_w", "relay conversion noise variance"),
+    ConfigField("sigma2_ba", "dBm", dbm_to_watts, -80.0, "sigma2_ba_w", "destination antenna noise variance"),
+    ConfigField("sigma2_bc", "dBm", dbm_to_watts, -80.0, "sigma2_bc_w", "destination conversion noise variance"),
+    ConfigField("sigma2_a", "dBm", dbm_to_watts, -80.0, "sigma2_a_w", "source receiver noise variance"),
+    ConfigField("eta0", "-", float, 0.4, "eta0", "baseline conversion efficiency"),
+    ConfigField("eta_u", "-", float, 0.8, "eta_u", "conversion efficiency upper bound"),
+    ConfigField("epsilon", "-", float, 0.1, "epsilon", "covertness parameter"),
+)}
 
 
 class ConfigError(ValueError):
@@ -251,9 +227,7 @@ class ConfigError(ValueError):
 
 def default_params(**overrides) -> SystemParams:
     """SystemParams built from the default engineering-unit values."""
-    values = {}
-    for key, _unit, conv, _desc in _CONFIG_FIELDS:
-        values[key] = conv(DEFAULT_CONFIG_VALUES[key])
+    values = {key: f.to_si(f.default) for key, f in CONFIG_FIELDS.items()}
     values.update(overrides)
     return SystemParams(**values)
 
@@ -266,8 +240,8 @@ def config_template() -> str:
         "# Units are fixed per key and shown in brackets.",
         "",
     ]
-    for key, unit, _conv, desc in _CONFIG_FIELDS:
-        lines.append(f"{key} = {DEFAULT_CONFIG_VALUES[key]:g}  # [{unit}] {desc}")
+    for f in CONFIG_FIELDS.values():
+        lines.append(f"{f.key} = {f.default:g}  # [{f.unit}] {f.description}")
     lines += [
         "",
         "scheme = ts  # [ts|ps] energy-harvesting scheme",
@@ -289,7 +263,6 @@ def parse_config(text: str) -> tuple[SystemParams, str, float | str]:
         ConfigError: on unknown keys, bad values or missing assignments,
             with the 1-based line number.
     """
-    known = {key: conv for key, _u, conv, _d in _CONFIG_FIELDS}
     raw: dict[str, float] = {}
     scheme = "ts"
     fraction: float | str = "auto"
@@ -318,16 +291,14 @@ def parse_config(text: str) -> tuple[SystemParams, str, float | str]:
                 if not (0 < fraction < 1):
                     raise ConfigError(f"fraction must lie in (0, 1), got {fraction}", line_no)
             continue
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown key {key!r}", line_no)
         try:
             raw[key] = float(value)
         except ValueError:
             raise ConfigError(f"value for {key!r} is not a number: {value!r}", line_no) from None
 
-    values = dict(DEFAULT_CONFIG_VALUES)
-    values.update(raw)
-    si = {key: conv(values[key]) for key, _u, conv, _d in _CONFIG_FIELDS}
+    si = {key: f.to_si(raw.get(key, f.default)) for key, f in CONFIG_FIELDS.items()}
     try:
         params = SystemParams(**si)
     except ValueError as exc:

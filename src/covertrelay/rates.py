@@ -109,11 +109,6 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     return RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
 
 
-def effective_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float) -> RateResult:
-    """Covert rate scaled by the scheme's transmission-time prefactor."""
-    return average_covert_rate(params, scheme, eta1)
-
-
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig, n: int = QUAD_NODES) -> float:
     """Fading average of log2(1 + snr) for the forwarded signal, no covert data."""
 
@@ -157,7 +152,7 @@ def optimal_eta1(params: SystemParams) -> tuple[float, str]:
 def max_effective_covert_rate(params: SystemParams, scheme: SchemeConfig) -> OptimizationOutcome:
     """Effective covert rate at the optimal eta1 (no further search needed)."""
     eta1_star, binding = optimal_eta1(params)
-    rate = effective_covert_rate(params, scheme, eta1_star)
+    rate = average_covert_rate(params, scheme, eta1_star)
     return OptimizationOutcome(eta1_star=eta1_star, psi_star=rate.psi, binding=binding)
 
 

@@ -65,10 +65,7 @@ def harvested_power_total(params: SystemParams, scheme: SchemeConfig, eta, g_ar)
 def amplification_gain2(params: SystemParams, scheme: SchemeConfig, g_ar):
     """Squared AF gain G^2 normalizing the forwarded signal to unit power."""
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    a = params.Pa * params.L_ar * g_ar
-    if scheme.variant != TS:
-        a = (1.0 - scheme.fraction) * a
-    return 1.0 / (a + s2r)
+    return 1.0 / (_forwarded_signal_power(params, scheme, g_ar) + s2r)
 
 
 def _check_eta1(params: SystemParams, eta1):

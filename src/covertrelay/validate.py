@@ -35,10 +35,6 @@ def _check(name: str, measured: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(measured), float(tolerance), bool(measured <= tolerance))
 
 
-def _schemes(params: SystemParams, fraction_ts: float, fraction_ps: float):
-    return (SchemeConfig(TS, fraction_ts), SchemeConfig(PS, fraction_ps))
-
-
 def run_validation(
     params: SystemParams,
     seed: int = 0,
@@ -53,12 +49,13 @@ def run_validation(
     is expected to make the suite fail (harness self-test).
     """
     results: list[CheckResult] = []
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 999]))
+    rng = montecarlo.substream(seed, montecarlo.STREAM_POWER_ALGEBRA)
     skew = 1.0 + perturb
 
     eta1_mid = 0.5 * (params.eta0 + params.eta_u)
+    xi_min = []  # unperturbed minimum error per scheme
 
-    for scheme in _schemes(params, fraction_ts, fraction_ps):
+    for scheme in (SchemeConfig(TS, fraction_ts), SchemeConfig(PS, fraction_ps)):
         tag = scheme.variant
 
         # Power algebra over random (draw, eta1) tuples.
@@ -88,7 +85,8 @@ def run_validation(
         tau_star = detection.optimal_threshold(params, scheme, eta1_mid)
         offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * (tau_star - params.sigma2_a), 10**4)
         xi_grid = detection.detection_error(params, scheme, eta1_mid, params.sigma2_a + offsets).xi
-        xi_at_star = detection.detection_error(params, scheme, eta1_mid, tau_star).xi * skew
+        xi_min.append(detection.detection_error(params, scheme, eta1_mid, tau_star).xi)
+        xi_at_star = xi_min[-1] * skew
         results.append(_check(f"threshold-grid-{tag}", xi_at_star - np.min(xi_grid), 1e-12))
         xi_ratio = detection.min_detection_error(params.eta0 / eta1_mid)
         results.append(_check(f"xi-star-closed-form-{tag}", abs(xi_at_star - xi_ratio), 1e-10))
@@ -114,27 +112,21 @@ def run_validation(
         results.append(_check(f"rate-quad-vs-mc-{tag}", abs(rate.c_avg - rep.c_hat) / rate.c_avg, 0.02))
 
         # Empirical CDF of the received-power statistic under H0.
-        stream = 5 if tag == TS else 6
+        stream = montecarlo.STREAM_KS_STATISTIC_TS if tag == TS else montecarlo.STREAM_KS_STATISTIC_PS
         g = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
         t_draws = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
-        ks = stats.kstest(t_draws, lambda t: montecarlo.statistic_cdf(params, scheme, params.eta0, t))
+        ks = stats.kstest(t_draws, lambda t: 1.0 - detection.false_alarm(params, scheme, t))
         results.append(_check(f"statistic-cdf-ks-{tag}", ks.statistic, KS_TOL_STATISTIC))
 
-        # Threshold optimality on a grid, closed-form and empirical sides.
+        # Threshold optimality on a grid, empirical side (the closed-form
+        # side is threshold-grid above).
         ok = montecarlo.validate_threshold_optimality(
             params, scheme, eta1_mid, grid_size=2000, seed=seed, n_blocks=min(mc_blocks, 10**5)
         )
         results.append(_check(f"threshold-optimality-{tag}", 0.0 if ok else 1.0, 0.0))
 
     # Scheme-independent checks.
-    s_ts, s_ps = _schemes(params, fraction_ts, fraction_ps)
-    xi_ts = detection.detection_error(
-        params, s_ts, eta1_mid, detection.optimal_threshold(params, s_ts, eta1_mid)
-    ).xi
-    xi_ps = detection.detection_error(
-        params, s_ps, eta1_mid, detection.optimal_threshold(params, s_ps, eta1_mid)
-    ).xi
-    results.append(_check("xi-star-scheme-equal", abs(xi_ts - xi_ps), 1e-10))
+    results.append(_check("xi-star-scheme-equal", abs(xi_min[0] - xi_min[1]), 1e-10))
 
     phis = np.linspace(0.01, 0.99, 1000)
     xi_vals = np.array([detection.min_detection_error(p) for p in phis])
@@ -145,7 +137,7 @@ def run_validation(
     identity = abs(budget - (1.0 - detection.min_detection_error(params.eta0 / params.eta_u)))
     results.append(_check("budget-identity", identity, 1e-12))
 
-    samples = montecarlo.substream(seed, 7).exponential(params.lambda_ar, KS_DRAWS)
+    samples = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
     ks = stats.kstest(samples, "expon", args=(0, params.lambda_ar))
     results.append(_check("channel-ks", ks.statistic, KS_TOL_CHANNEL))
 

@@ -16,7 +16,6 @@ from covertrelay import (
     allocate_powers,
     average_covert_rate,
     detection_error,
-    effective_covert_rate,
     harvested_power_total,
     max_effective_covert_rate,
     min_detection_error,
@@ -250,7 +249,7 @@ def test_criterion_9_monotonicity_suites():
             p = random_params(rng, params)
             scheme = SchemeConfig(variant, rng.uniform(0.2, 0.8))
             etas = np.linspace(p.eta0, p.eta_u, 20)
-            psi = [effective_covert_rate(p, scheme, e).psi for e in etas]
+            psi = [average_covert_rate(p, scheme, e).psi for e in etas]
             assert all(b > a for a, b in zip(psi, psi[1:]))
     _report(9, "xi* strictly increasing (1000 pts); psi strictly increasing in eta1",
             time.monotonic() - start)

@@ -1,3 +1,5 @@
+import pytest
+
 from covertrelay import params as cp
 from covertrelay.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -54,6 +56,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["fig3", "--config", str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_fig2_rejects_zero_mc_blocks(capsys):
+    assert main(["fig2", "--mc-blocks", "0"]) == EXIT_USAGE
+    assert "n_blocks must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig5", "--config", "{missing}"],
+        ["fig5", "--out", "{unwritable}"],
+        ["sweep", "--param", "Pa", "--values", "0", "--fraction", "0.5", "--out", "{unwritable}"],
+        ["validate", "--mc-blocks", "1000", "--out", "{unwritable}"],
+        ["config-template", "--out", "{unwritable}"],
+    ],
+    ids=["missing-config", "fig-out", "sweep-out", "validate-out", "template-out"],
+)
+def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "absent.cfg", "unwritable": tmp_path / "no-such-dir" / "out.csv"}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_validate_passes_and_self_test_fails(capsys):

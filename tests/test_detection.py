@@ -14,7 +14,7 @@ from covertrelay import (
     solve_phi_epsilon,
     xi_star_range,
 )
-from covertrelay.detection import covertness_point, statistic_scale
+from covertrelay.detection import statistic_scale
 
 # Frozen from the brute-force grid-minimization oracle below (10^6-point
 # log-spaced threshold grids with one refinement pass).
@@ -94,10 +94,13 @@ def test_alpha_beta_monotone_in_tau(params, ts, ps):
         assert np.all(np.diff(point.beta) >= 0)
 
 
-@pytest.mark.parametrize("variant", ["ts", "ps"])
-def test_optimal_threshold_beats_grid(params, variant):
-    scheme = SchemeConfig(variant, 0.5)
-    eta1 = 0.7
+@pytest.mark.parametrize(
+    "variant, fraction, eta1",
+    [("ts", 0.5, 0.7), ("ps", 0.5, 0.7), ("ts", 0.5, 1.001 * 0.4), ("ps", 0.9, 0.7)],
+    ids=["ts", "ps", "ts-near-degenerate", "ps-extreme-split"],  # default eta0 = 0.4
+)
+def test_optimal_threshold_beats_grid(params, variant, fraction, eta1):
+    scheme = SchemeConfig(variant, fraction)
     tau_star = optimal_threshold(params, scheme, eta1)
     assert tau_star > params.sigma2_a
     k0 = statistic_scale(params, scheme, params.eta0)
@@ -227,9 +230,3 @@ def test_ts_ps_minimum_equal(params, ts, ps):
     xi_ps = detection_error(params, ps, 0.7, optimal_threshold(params, ps, 0.7)).xi
     assert xi_ts == pytest.approx(xi_ps, abs=1e-10)
 
-
-def test_covertness_point():
-    point = covertness_point(0.4, 0.7, 0.1)
-    assert point.phi == pytest.approx(4.0 / 7.0)
-    assert point.xi_star == pytest.approx(XI_STAR_4_7, abs=1e-10)
-    assert point.phi_epsilon == pytest.approx(PHI_EPS_01, abs=1e-6)

@@ -3,6 +3,7 @@ import pytest
 
 from covertrelay import solve_phi_epsilon
 from covertrelay import experiments as ex
+from covertrelay.params import CONFIG_FIELDS
 
 
 def _by(rows, **filters):
@@ -98,6 +99,23 @@ def test_sweep_rows(params):
     assert psi_ts == sorted(psi_ts)
     with pytest.raises(ValueError):
         ex.run_sweep(params, "nonsense", [1.0])
+
+
+# The CSV parameter-column schema, in order (SI units).
+PARAM_COLUMNS = [
+    "Pa_w", "fc_hz", "m", "d_ar_m", "d_rb_m", "lambda_ar", "lambda_rb",
+    "sigma2_ra_w", "sigma2_rc_w", "sigma2_ba_w", "sigma2_bc_w", "sigma2_a_w",
+    "eta0", "eta_u", "epsilon",
+]
+
+
+def test_every_config_key_sweeps_with_the_table_columns(params):
+    assert [f.column for f in CONFIG_FIELDS.values()] == PARAM_COLUMNS
+    for key, field in CONFIG_FIELDS.items():
+        rows = ex.run_sweep(params, key, [field.default], fraction=0.5, scheme_selector="ts")
+        header = ex.csv_bytes(rows).split(b"\r\n")[0].decode().split(",")
+        assert header[-len(PARAM_COLUMNS):] == PARAM_COLUMNS
+        assert rows[0]["swept_param"] == key
 
 
 def test_sweep_fraction(params):

@@ -14,7 +14,8 @@ from covertrelay import (
     validate_threshold_optimality,
 )
 from covertrelay.detection import statistic_scale
-from covertrelay.montecarlo import detection_curve, statistic_cdf, substream
+from covertrelay import montecarlo
+from covertrelay.montecarlo import detection_curve, substream
 
 from conftest import random_params
 
@@ -46,7 +47,7 @@ def test_statistic_cdf_matches_empirical(params, ts, ps):
     for i, scheme in enumerate((ts, ps)):
         g = substream(31 + i, 0).exponential(params.lambda_ar, 10**6)
         draws = sufficient_statistic(params, scheme, params.eta0, g)
-        ks = stats.kstest(draws, lambda t: statistic_cdf(params, scheme, params.eta0, t))
+        ks = stats.kstest(draws, lambda t: 1.0 - false_alarm(params, scheme, t))
         assert ks.statistic <= 0.003
 
 
@@ -166,3 +167,11 @@ def test_simulation_report_rejects_empty(params, ts):
         simulate_detection(params, ts, 0.7, 1.0, 0, seed=17)
     with pytest.raises(ValueError):
         simulate_covert_rate(params, ts, 0.7, 0, seed=18)
+    with pytest.raises(ValueError):
+        detection_curve(params, ts, 0.7, [1.0], 0, seed=19)
+
+
+def test_stream_numbers_are_distinct():
+    streams = [v for k, v in vars(montecarlo).items() if k.startswith("STREAM_")]
+    assert len(streams) >= 13
+    assert len(set(streams)) == len(streams)

@@ -1,18 +1,17 @@
-import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats
 
 from covertrelay import params as cp
 from covertrelay import (
     ChannelDraw,
     SchemeConfig,
+    SystemParams,
     dbm_to_watts,
     path_loss,
     relay_noise_power,
-    sample_channel,
     watts_to_dbm,
 )
 
@@ -67,28 +66,6 @@ def test_relay_noise_power_ps_limits():
     assert relay_noise_power(near_zero, 1e-11, 3e-12) == pytest.approx(1.3e-11, rel=1e-9)
 
 
-def test_sample_channel_moments_and_scaling():
-    rng = np.random.default_rng(7)
-    g = sample_channel(rng, 1.0, 10**6)
-    assert np.mean(g) == pytest.approx(1.0, abs=5e-3)
-    # CDF of the squared draw: P[g^2 <= 1] = 1 - exp(-1)
-    assert np.mean(g**2 <= 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=5e-3)
-    g2 = sample_channel(np.random.default_rng(8), 2.0, 10**6)
-    assert np.mean(g2) == pytest.approx(2.0, abs=1e-2)
-
-
-def test_sample_channel_matches_exponential_ks():
-    rng = np.random.default_rng(1234)
-    g = sample_channel(rng, 1.5, 10**6)
-    ks = stats.kstest(g, "expon", args=(0, 1.5))
-    assert ks.statistic <= 0.002
-
-
-def test_sample_channel_rejects_bad_mean():
-    with pytest.raises(ValueError):
-        sample_channel(np.random.default_rng(0), 0.0)
-
-
 def test_system_params_validation(params):
     with pytest.raises(ValueError):
         params.with_updates(Pa=0.0)
@@ -125,6 +102,17 @@ def test_default_params_section_values(params):
     assert params.eta_u == 0.8
 
 
+def test_config_table_is_the_parameter_schema():
+    keys = [f.name for f in fields(SystemParams)]
+    assert list(cp.CONFIG_FIELDS) == keys
+    template_keys = [
+        line.partition("=")[0].strip()
+        for line in cp.config_template().splitlines()
+        if "=" in line and not line.startswith("#")
+    ]
+    assert template_keys == keys + ["scheme", "fraction"]
+
+
 def test_config_template_roundtrip():
     text = cp.config_template()
     parsed, scheme, fraction = cp.parse_config(text)
@@ -150,6 +138,7 @@ def test_parse_config_overrides_and_units():
         ("Pa = ten\n", 1),
         ("scheme = xx\n", 1),
         ("\n\nfraction = 1.5\n", 3),
+        ("Pa = 10\nT_block = 1\n", 2),  # T cancels in every formula; not a parameter
     ],
 )
 def test_parse_config_errors_carry_line_numbers(text, line_no):

@@ -4,7 +4,6 @@ import pytest
 from covertrelay import (
     SchemeConfig,
     average_covert_rate,
-    effective_covert_rate,
     max_effective_covert_rate,
     min_detection_error,
     optimal_eta1,
@@ -50,13 +49,13 @@ def test_average_rate_vanishing_downlink(params, ts):
 
 def test_effective_rate_prefactors(params):
     ts = SchemeConfig.ts(0.5)
-    rate = effective_covert_rate(params, ts, 0.7)
+    rate = average_covert_rate(params, ts, 0.7)
     assert rate.psi == pytest.approx(0.25 * rate.c_avg, rel=1e-12)
     ts2 = SchemeConfig.ts(0.2)
-    rate = effective_covert_rate(params, ts2, 0.7)
+    rate = average_covert_rate(params, ts2, 0.7)
     assert rate.psi == pytest.approx(0.4 * rate.c_avg, rel=1e-12)
     ps = SchemeConfig.ps(0.7)
-    rate = effective_covert_rate(params, ps, 0.7)
+    rate = average_covert_rate(params, ps, 0.7)
     assert rate.psi == pytest.approx(0.5 * rate.c_avg, rel=1e-12)
 
 
@@ -132,7 +131,7 @@ def test_psi_increasing_in_eta1(params, ts, ps):
         for _ in range(5):
             p = random_params(rng, params)
             etas = np.linspace(p.eta0, p.eta_u, 20)
-            psi = [effective_covert_rate(p, scheme, e).psi for e in etas]
+            psi = [average_covert_rate(p, scheme, e).psi for e in etas]
             assert all(b > a for a, b in zip(psi, psi[1:]))
 
 
