@@ -31,8 +31,9 @@ def _add_common(parser: argparse.ArgumentParser, scheme: bool = True) -> None:
     )
     if scheme:
         parser.add_argument(
-            "--scheme", choices=["ts", "ps", "both"], default="both",
-            help="energy-harvesting scheme(s) to run",
+            "--scheme", choices=["ts", "ps", "both"], default=None,
+            help="energy-harvesting scheme(s) to run "
+                 "(default: the config file's scheme key, else both)",
         )
         parser.add_argument(
             "--fraction", default=None, metavar="X|auto",
@@ -92,7 +93,7 @@ def _load(args) -> tuple:
     if args.config:
         params, scheme, fraction = load_config(args.config)
     else:
-        params, scheme, fraction = default_params(), "ts", "auto"
+        params, scheme, fraction = default_params(), None, "auto"
     if getattr(args, "fraction", None) is not None:
         fraction = args.fraction if args.fraction == "auto" else float(args.fraction)
     return params, scheme, fraction
@@ -115,22 +116,23 @@ def main(argv=None) -> int:
             _write(config_template(), args.out)
             return EXIT_OK
 
-        params, _config_scheme, fraction = _load(args)
+        params, config_scheme, fraction = _load(args)
+        scheme = getattr(args, "scheme", None) or config_scheme or "both"
 
         if args.command == "fig2":
             rows = experiments.run_fig2(
                 params, fraction=fraction, eta1=args.eta1,
                 n_tau=args.n_tau, mc_blocks=args.mc_blocks, seed=args.seed,
-                scheme_selector=args.scheme,
+                scheme_selector=scheme,
             )
         elif args.command == "fig3":
-            rows = experiments.run_fig3(params, fraction=fraction, scheme_selector=args.scheme)
+            rows = experiments.run_fig3(params, fraction=fraction, scheme_selector=scheme)
         elif args.command == "fig4":
-            rows = experiments.run_fig4(params, fraction=fraction, scheme_selector=args.scheme)
+            rows = experiments.run_fig4(params, fraction=fraction, scheme_selector=scheme)
         elif args.command == "fig5":
             rows = experiments.run_fig5(params)
         elif args.command == "fig6":
-            rows = experiments.run_fig6(params, fraction=fraction, scheme_selector=args.scheme)
+            rows = experiments.run_fig6(params, fraction=fraction, scheme_selector=scheme)
         elif args.command == "sweep":
             if args.values:
                 values = [float(v) for v in args.values.split(",")]
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
 
                 values = list(np.linspace(float(start), float(stop), int(num)))
             rows = experiments.run_sweep(
-                params, args.param, values, fraction=fraction, scheme_selector=args.scheme,
+                params, args.param, values, fraction=fraction, scheme_selector=scheme,
             )
         elif args.command == "validate":
             f = 0.5 if fraction == "auto" else float(fraction)

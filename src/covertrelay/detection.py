@@ -134,12 +134,16 @@ def solve_phi_epsilon(epsilon: float) -> float:
     """Efficiency ratio phi_epsilon with xi*(phi_epsilon) = 1 - epsilon.
 
     Unique by monotonicity of xi*; solved by bisection to 1e-12 in the
-    function value. epsilon = 0 returns the limit ratio 1.
+    function value. The ends are the limit ratios: epsilon = 0 gives 1, and
+    epsilon = 1 gives 0 (xi* -> 0 as phi -> 0), where the covertness
+    constraint is vacuous and the efficiency cap binds.
     """
     if epsilon == 0:
         return 1.0
+    if epsilon == 1:
+        return 0.0
     if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     target = 1.0 - epsilon
     lo, hi = _PHI_BRACKET
     for _ in range(_PHI_MAX_ITER):

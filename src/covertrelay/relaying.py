@@ -69,12 +69,13 @@ def amplification_gain2(params: SystemParams, scheme: SchemeConfig, g_ar):
 
 
 def _check_eta1(params: SystemParams, eta1):
-    if np.any(np.asarray(eta1) < params.eta0):
+    eta1 = np.asarray(eta1)
+    if (eta1 < params.eta0).any():
         raise ValueError(
             f"eta1 must be >= eta0 (covert power would be negative): "
             f"eta1={eta1}, eta0={params.eta0}"
         )
-    if np.any(np.asarray(eta1) > params.eta_u):
+    if (eta1 > params.eta_u).any():
         raise ValueError(f"eta1={eta1} exceeds the hardware bound eta_u={params.eta_u}")
 
 
@@ -144,9 +145,10 @@ def covert_snr(params: SystemParams, scheme: SchemeConfig, eta1: float, draw: Ch
 def covert_snr_reduced(params: SystemParams, scheme: SchemeConfig, eta1: float, draw: ChannelDraw):
     """Covert SNR as a single rational expression in the channel gains.
 
-    Algebraically identical to covert_snr; kept as an independent route for
-    cross-checks and as the fast integrand for quadrature. q_lo and q_hi are
-    the relay's H0 and H1 transmit powers times the downlink gain.
+    Algebraically identical to covert_snr; kept as an independent route that
+    validate and the tests check both covert_snr and downlink_coefficients
+    against. q_lo and q_hi are the relay's H0 and H1 transmit powers times
+    the downlink gain.
     """
     _check_eta1(params, eta1)
     g = link_gains(params, draw)
@@ -162,3 +164,39 @@ def covert_snr_reduced(params: SystemParams, scheme: SchemeConfig, eta1: float, 
     num = coeff * (eta1 - params.eta0) * g.a * g.b * s2b
     den = q_lo * (q_hi + s2b) * s2r / (s + s2r) + (q_lo + s2b) * s2b
     return num / den
+
+
+@dataclass(frozen=True)
+class DownlinkCoefficients:
+    """Both destination SNRs as rational functions of a downlink gain scale y.
+
+    For the link gains of a draw with g_rb scaled by y:
+        1 + snr_h0 = (1 + p y) / (1 + p r y)
+        covert snr = dp y / (1 + p (1 + r) y + r p (p + dp) y^2)
+    so y = 1 gives the SNRs of the draw itself.
+
+    p: H0 forward power times L_rb g_rb / sigma2_b [-].
+    dp: covert surplus, (eta1 - eta0) / eta0 * p in factored form [-].
+    r: relay-noise share of the forwarded power, s2r / (s + s2r) [-].
+    """
+
+    p: float | np.ndarray
+    dp: float | np.ndarray
+    r: float | np.ndarray
+
+
+def downlink_coefficients(
+    params: SystemParams, scheme: SchemeConfig, eta1: float, draw: ChannelDraw
+) -> DownlinkCoefficients:
+    """Coefficients of snr_h0 and the covert SNR in the downlink gain scale.
+
+    1 + covert snr factors as (1 + (p + dp) y)(1 + p r y) over the covert
+    denominator, so both log(1 + snr) are sums of logs of polynomials in y
+    with closed-form expectations when g_rb is exponential (see rates).
+    """
+    _check_eta1(params, eta1)
+    g = link_gains(params, draw)
+    s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
+    per_eta = _harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
+    s = _forwarded_signal_power(params, scheme, draw.g_ar)
+    return DownlinkCoefficients(p=params.eta0 * per_eta, dp=(eta1 - params.eta0) * per_eta, r=s2r / (s + s2r))

@@ -9,7 +9,7 @@ def test_config_template_roundtrips(tmp_path, capsys):
     text = capsys.readouterr().out
     parsed, scheme, fraction = cp.parse_config(text)
     assert parsed == cp.default_params()
-    assert (scheme, fraction) == ("ts", "auto")
+    assert (scheme, fraction) == ("both", "auto")
 
 
 def test_fig2_writes_deterministic_csv(tmp_path):
@@ -96,3 +96,42 @@ def test_validate_passes_and_self_test_fails(capsys):
 def test_unknown_sweep_param_is_usage_error(capsys):
     assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_USAGE
     assert "unknown sweep parameter" in capsys.readouterr().err
+
+
+def _schemes(csv_text: str) -> list[str]:
+    return sorted({line.split(",")[0] for line in csv_text.splitlines()[1:]})
+
+
+@pytest.mark.parametrize("key,flag,expected", [
+    ("scheme = ps\n", [], ["ps"]),
+    ("scheme = both\n", [], ["ps", "ts"]),
+    ("", [], ["ps", "ts"]),  # no scheme key: both, as without a config file
+    ("scheme = ps\n", ["--scheme", "ts"], ["ts"]),  # the flag wins
+])
+def test_config_scheme_selects_schemes(tmp_path, capsys, key, flag, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(key + "fraction = 0.5\n", encoding="utf-8")
+    assert main(["sweep", "--param", "Pa", "--values", "20", "--config", str(cfg), *flag]) == EXIT_OK
+    assert _schemes(capsys.readouterr().out) == expected
+
+
+def test_unedited_template_runs_both_schemes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    assert main(["config-template", "--out", str(cfg)]) == EXIT_OK
+    assert main(["sweep", "--param", "Pa", "--values", "20", "--fraction", "0.5",
+                 "--config", str(cfg)]) == EXIT_OK
+    assert _schemes(capsys.readouterr().out) == ["ps", "ts"]
+
+
+def test_epsilon_one_runs_every_rate_recipe(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 1\nfraction = 0.5\n", encoding="utf-8")
+    for argv in (["fig3"], ["fig6"], ["sweep", "--param", "Pa", "--values", "0,20"]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["binding"] == "harvester-cap"
+            assert float(row["phi_eps"]) == 0.0
+    assert main(["sweep", "--param", "epsilon", "--values", "0.5,1", "--fraction", "0.5"]) == EXIT_OK

@@ -191,7 +191,10 @@ def test_solve_phi_epsilon_values():
 
 
 def test_solve_phi_epsilon_domain():
-    for eps in (1.0, -0.1, 1.5):
+    # epsilon = 1 is the limit phi -> 0 (xi* -> 0), like epsilon = 0 -> 1.
+    assert solve_phi_epsilon(1.0) == 0.0
+    assert min_detection_error(1e-12) < 1e-4
+    for eps in (-0.1, 1.5):
         with pytest.raises(ValueError):
             solve_phi_epsilon(eps)
 

@@ -117,7 +117,7 @@ def test_config_template_roundtrip():
     text = cp.config_template()
     parsed, scheme, fraction = cp.parse_config(text)
     assert parsed == cp.default_params()
-    assert scheme == "ts"
+    assert scheme == "both"
     assert fraction == "auto"
 
 
