@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import detection, montecarlo, rates, relaying
 from .params import PS, TS, ChannelDraw, SchemeConfig, SystemParams
@@ -35,6 +34,30 @@ def _check(name: str, measured: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(measured), float(tolerance), bool(measured <= tolerance))
 
 
+def _ks_distance(draws: np.ndarray, cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of draws from a continuous CDF.
+
+    Sorts draws in place. The arithmetic is scipy.stats.kstest's, so the
+    statistic is bit-identical, but no p-value is computed: the checks only
+    compare the distance with a tolerance.
+    """
+    draws.sort()
+    c = cdf(draws)
+    n = draws.size
+    return float(max(np.max(np.arange(1.0, n + 1) / n - c), np.max(c - np.arange(0.0, n) / n)))
+
+
+def __getattr__(name: str):
+    # benchmarks/tracing.py still hooks validate.stats.kstest (ROADMAP item 6).
+    # Resolve it on demand and do not cache it in the module globals, so that
+    # importing this module loads no scipy and vars() stays the same.
+    if name == "stats":
+        from scipy import stats
+
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_validation(
     params: SystemParams,
     seed: int = 0,
@@ -48,6 +71,8 @@ def run_validation(
     perturb != 0 scales the closed-form detection quantities under test and
     is expected to make the suite fail (harness self-test).
     """
+    from scipy import special
+
     results: list[CheckResult] = []
     rng = montecarlo.substream(seed, montecarlo.STREAM_POWER_ALGEBRA)
     skew = 1.0 + perturb
@@ -115,8 +140,8 @@ def run_validation(
         stream = montecarlo.STREAM_KS_STATISTIC_TS if tag == TS else montecarlo.STREAM_KS_STATISTIC_PS
         g = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
         t_draws = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
-        ks = stats.kstest(t_draws, lambda t: 1.0 - detection.false_alarm(params, scheme, t))
-        results.append(_check(f"statistic-cdf-ks-{tag}", ks.statistic, KS_TOL_STATISTIC))
+        ks = _ks_distance(t_draws, lambda t: 1.0 - detection.false_alarm(params, scheme, t))
+        results.append(_check(f"statistic-cdf-ks-{tag}", ks, KS_TOL_STATISTIC))
 
         # Threshold optimality on a grid, empirical side (the closed-form
         # side is threshold-grid above).
@@ -138,8 +163,8 @@ def run_validation(
     results.append(_check("budget-identity", identity, 1e-12))
 
     samples = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
-    ks = stats.kstest(samples, "expon", args=(0, params.lambda_ar))
-    results.append(_check("channel-ks", ks.statistic, KS_TOL_CHANNEL))
+    ks = _ks_distance(samples, lambda g: -special.expm1(-g / params.lambda_ar))
+    results.append(_check("channel-ks", ks, KS_TOL_CHANNEL))
 
     return results
 

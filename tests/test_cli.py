@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import covertrelay
 from covertrelay import params as cp
 from covertrelay.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -135,3 +141,12 @@ def test_epsilon_one_runs_every_rate_recipe(tmp_path, capsys):
             assert row["binding"] == "harvester-cap"
             assert float(row["phi_eps"]) == 0.0
     assert main(["sweep", "--param", "epsilon", "--values", "0.5,1", "--fraction", "0.5"]) == EXIT_OK
+
+
+def test_cli_import_loads_no_scipy():
+    """Cold start: importing the CLI loads no scipy; commands import it lazily."""
+    src = str(pathlib.Path(covertrelay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, covertrelay.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

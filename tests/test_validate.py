@@ -1,12 +1,17 @@
+import numpy as np
 import pytest
+from scipy import stats
 
-from covertrelay import default_params
-from covertrelay.validate import format_report, run_validation
+from covertrelay import default_params, detection, montecarlo
+from covertrelay.params import PS, TS, SchemeConfig
+from covertrelay.validate import KS_DRAWS, _ks_distance, format_report, run_validation
+
+SEED = 101
 
 
 @pytest.fixture(scope="module")
 def results():
-    return run_validation(default_params(), seed=101, mc_blocks=10**5)
+    return run_validation(default_params(), seed=SEED, mc_blocks=10**5)
 
 
 def test_suite_passes_on_defaults(results):
@@ -37,3 +42,32 @@ def test_report_lists_measured_vs_tolerated(results):
 def test_injected_perturbation_fails():
     skewed = run_validation(default_params(), seed=101, mc_blocks=10**4, perturb=0.05)
     assert any(not r.passed for r in skewed)
+
+
+@pytest.mark.parametrize("draws,expected", [
+    ([0.4, 0.2, 0.3], 0.6),  # D+ = 1 - 0.4 wins
+    ([0.9, 0.5, 0.8], 0.5),  # D- = 0.5 - 0 wins
+])
+def test_ks_distance_hand_computed(draws, expected):
+    x = np.array(draws)
+    assert _ks_distance(x, lambda u: u) == pytest.approx(expected, abs=1e-15)
+    assert list(x) == sorted(draws)  # sorted in place
+
+
+def test_ks_checks_equal_scipy_kstest(results):
+    """The KS distances are scipy's kstest statistic on validate's own draws.
+
+    Bit-identical with the scipy this was written against; another scipy may
+    round its CDF differently, hence the 1e-15 slack.
+    """
+    params = default_params()
+    measured = {r.name: r.measured for r in results}
+    g = montecarlo.substream(SEED, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
+    expected = stats.kstest(g, "expon", args=(0, params.lambda_ar)).statistic
+    assert measured["channel-ks"] == pytest.approx(expected, rel=0, abs=1e-15)
+    for scheme, stream in ((SchemeConfig(TS, 0.5), montecarlo.STREAM_KS_STATISTIC_TS),
+                           (SchemeConfig(PS, 0.5), montecarlo.STREAM_KS_STATISTIC_PS)):
+        g = montecarlo.substream(SEED, stream).exponential(params.lambda_ar, KS_DRAWS)
+        t = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
+        expected = stats.kstest(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x)).statistic
+        assert measured[f"statistic-cdf-ks-{scheme.variant}"] == pytest.approx(expected, rel=0, abs=1e-15)
