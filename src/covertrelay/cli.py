@@ -21,13 +21,19 @@ DEFAULT_SEED = 20240
 DEFAULT_MC_BLOCKS = 10**6
 
 
-def _add_common(parser: argparse.ArgumentParser, scheme: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carlo: bool = True) -> None:
+    """Flags every analysis command takes.
+
+    Commands without Monte Carlo (monte_carlo=False) still accept --seed and
+    --mc-blocks, so one argv works for every figure, but ignore them.
+    """
+    ignored = "" if monte_carlo else " (accepted and ignored: this command draws no random numbers)"
     parser.add_argument("--config", metavar="PATH", help="parameter file (defaults built in)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed" + ignored)
     parser.add_argument(
         "--mc-blocks", type=int, default=DEFAULT_MC_BLOCKS, metavar="N",
-        help="Monte Carlo fading blocks per estimate",
+        help="Monte Carlo fading blocks per estimate" + ignored,
     )
     if scheme:
         parser.add_argument(
@@ -60,19 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--n-tau", type=int, default=201, help="threshold grid size")
 
     p3 = sub.add_parser("fig3", help="max effective covert rate vs source power")
-    _add_common(p3)
+    _add_common(p3, monte_carlo=False)
 
     p4 = sub.add_parser("fig4", help="max effective covert rate vs baseline efficiency")
-    _add_common(p4)
+    _add_common(p4, monte_carlo=False)
 
     p5 = sub.add_parser("fig5", help="realized efficiency ratio vs baseline efficiency")
-    _add_common(p5, scheme=False)
+    _add_common(p5, scheme=False, monte_carlo=False)
 
     p6 = sub.add_parser("fig6", help="max effective covert rate vs relay position")
-    _add_common(p6)
+    _add_common(p6, monte_carlo=False)
 
     psw = sub.add_parser("sweep", help="generic single-parameter sweep")
-    _add_common(psw)
+    _add_common(psw, monte_carlo=False)
     psw.add_argument("--param", required=True, help="parameter to sweep (config units)")
     group = psw.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated grid values")

@@ -143,6 +143,17 @@ def test_epsilon_one_runs_every_rate_recipe(tmp_path, capsys):
     assert main(["sweep", "--param", "epsilon", "--values", "0.5,1", "--fraction", "0.5"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig5"],
+    ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "0.5"],
+])
+def test_seed_and_mc_blocks_are_ignored_without_monte_carlo(capsys, argv):
+    assert main([*argv, "--seed", "1", "--mc-blocks", "10"]) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main([*argv, "--seed", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+
 def test_cli_import_loads_no_scipy():
     """Cold start: importing the CLI loads no scipy; commands import it lazily."""
     src = str(pathlib.Path(covertrelay.__file__).resolve().parents[1])

@@ -40,8 +40,10 @@ def test_report_lists_measured_vs_tolerated(results):
 
 
 def test_injected_perturbation_fails():
-    skewed = run_validation(default_params(), seed=101, mc_blocks=10**4, perturb=0.05)
-    assert any(not r.passed for r in skewed)
+    skewed = run_validation(default_params(), seed=SEED, mc_blocks=10**4, perturb=0.05)
+    failed = {r.name for r in skewed if not r.passed}
+    # The Monte Carlo checks catch a 5% skew too, at their false-failure budget.
+    assert {"detection-mc-ts", "detection-mc-ps"} <= failed
 
 
 @pytest.mark.parametrize("draws,expected", [
