@@ -59,8 +59,8 @@ def test_ks_distance_hand_computed(draws, expected):
 def test_ks_checks_equal_scipy_kstest(results):
     """The KS distances are scipy's kstest statistic on validate's own draws.
 
-    Bit-identical with the scipy this was written against; another scipy may
-    round its CDF differently, hence the 1e-15 slack.
+    Bit-identical under scipy 1.17; another scipy version may round its CDF
+    differently, hence the 1e-15 slack.
     """
     params = default_params()
     measured = {r.name: r.measured for r in results}
