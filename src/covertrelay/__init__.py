@@ -19,7 +19,6 @@ from .detection import (
     miss_detection,
     optimal_threshold,
     solve_phi_epsilon,
-    xi_star_range,
 )
 from .params import (
     ChannelDraw,
@@ -30,7 +29,6 @@ from .params import (
     load_config,
     path_loss,
     relay_noise_power,
-    watts_to_dbm,
 )
 from .rates import (
     OptimizationOutcome,
@@ -54,9 +52,7 @@ from .relaying import (
 from .montecarlo import (
     SimulationReport,
     simulate_covert_rate,
-    simulate_detection,
     sufficient_statistic,
-    validate_threshold_optimality,
 )
 
 __version__ = "0.1.0"
@@ -91,12 +87,8 @@ __all__ = [
     "path_loss",
     "relay_noise_power",
     "simulate_covert_rate",
-    "simulate_detection",
     "sinr_h1",
     "snr_h0",
     "solve_phi_epsilon",
     "sufficient_statistic",
-    "validate_threshold_optimality",
-    "watts_to_dbm",
-    "xi_star_range",
 ]

@@ -2,8 +2,8 @@
 
 Closed-form false-alarm and miss-detection rates of the power-threshold
 detector, the error-minimizing threshold, the minimum detection error (a
-function of the efficiency ratio only), its attainable range, and the
-inverse problem of finding the ratio that meets a covertness target.
+function of the efficiency ratio only), and the inverse problem of finding
+the ratio that meets a covertness target.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ def min_detection_error(phi: float) -> float:
     if abs(1.0 - phi) < _NEAR_ONE:
         return 1.0 - math.exp(-1.0) * u * (1.0 + 0.5 * u)
     return 1.0 - phi ** (1.0 / (2.0 * u)) * (1.0 / math.sqrt(phi) - 1.0)
-
-
-def xi_star_range(eta0: float, eta_u: float) -> tuple[float, float]:
-    """Attainable [min, max] of xi* when eta1 can range up to eta_u."""
-    if not (0 < eta0 <= eta_u < 1):
-        raise ValueError(f"need 0 < eta0 <= eta_u < 1, got eta0={eta0}, eta_u={eta_u}")
-    return min_detection_error(eta0 / eta_u), 1.0
 
 
 @lru_cache(maxsize=4096)

@@ -10,9 +10,9 @@ numpy.random.SeedSequence([master_seed, k]), a fixed documented mixing of
 the master seed and the stream counter. Every stream the package draws
 from is named below; nothing else picks a stream number.
 
-    0/1    STREAM_H0/_H1              detection draws under H0/H1
+    0/1    STREAM_DETECTION_TS_H0/_H1 validate: detection H0/H1 draws, TS
     2      STREAM_RATE                rate draws (both hops)
-    3/4    STREAM_GRID_H0/_H1         threshold-grid H0/H1 draws
+    3/4    STREAM_DETECTION_PS_H0/_H1 validate: detection H0/H1 draws, PS
     5/6    STREAM_KS_STATISTIC_TS/_PS validate: H0 statistic KS test
     7      STREAM_KS_CHANNEL          validate: channel-gain KS test
     10/11  STREAM_FIG2_TS_H0/_H1      fig2 Monte Carlo columns, TS
@@ -25,18 +25,18 @@ fixed-order arrays, so identical (params, seed) give bit-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import detection, relaying
 from .params import ChannelDraw, SchemeConfig, SystemParams
 
-STREAM_H0 = 0
-STREAM_H1 = 1
+STREAM_DETECTION_TS_H0 = 0
+STREAM_DETECTION_TS_H1 = 1
 STREAM_RATE = 2
-STREAM_GRID_H0 = 3
-STREAM_GRID_H1 = 4
+STREAM_DETECTION_PS_H0 = 3
+STREAM_DETECTION_PS_H1 = 4
 STREAM_KS_STATISTIC_TS = 5
 STREAM_KS_STATISTIC_PS = 6
 STREAM_KS_CHANNEL = 7
@@ -46,25 +46,17 @@ STREAM_FIG2_PS_H0 = 12
 STREAM_FIG2_PS_H1 = 13
 STREAM_POWER_ALGEBRA = 999
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Empirical detection/rate estimates with 95% half-widths per estimate.
-
-    Estimates not produced by a given simulation are None. Proportion
-    half-widths use the Agresti-Coull interval, which stays positive even
-    at empirical rates of exactly 0 or 1.
-    """
+    """Empirical average covert rate with its 95% half-width."""
 
     n_blocks: int
     seed: int
-    alpha_hat: float | None = None
-    beta_hat: float | None = None
-    xi_hat: float | None = None
-    c_hat: float | None = None
-    ci_halfwidth: dict = field(default_factory=dict)
+    c_hat: float
+    ci_halfwidth: float
 
 
 def substream(master_seed: int, stream: int) -> np.random.Generator:
@@ -82,61 +74,6 @@ def sufficient_statistic(params: SystemParams, scheme: SchemeConfig, eta: float,
     return k * np.square(g_ar) + params.sigma2_a
 
 
-def _proportion_halfwidth(successes, n: int):
-    # Agresti-Coull 95% half-width; broadcasts over success counts.
-    z2 = _Z95 * _Z95
-    n_adj = n + z2
-    p_adj = (successes + 0.5 * z2) / n_adj
-    return _Z95 * np.sqrt(p_adj * (1.0 - p_adj) / n_adj)
-
-
-def _draw_statistics(params, scheme, eta1, n_blocks: int, seed: int, streams: tuple[int, int]):
-    """Received-power statistics of n_blocks fading blocks under H0 and H1.
-
-    Each hypothesis gets an independent block of fading draws from its own
-    stream (the error rates are marginal probabilities; coupling them buys
-    nothing).
-    """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    g0 = substream(seed, streams[0]).exponential(params.lambda_ar, n_blocks)
-    g1 = substream(seed, streams[1]).exponential(params.lambda_ar, n_blocks)
-    return (
-        sufficient_statistic(params, scheme, params.eta0, g0),
-        sufficient_statistic(params, scheme, eta1, g1),
-    )
-
-
-def simulate_detection(
-    params: SystemParams,
-    scheme: SchemeConfig,
-    eta1: float,
-    tau: float,
-    n_blocks: int,
-    seed: int,
-) -> SimulationReport:
-    """Empirical false-alarm/miss-detection rates at one threshold."""
-    t0, t1 = _draw_statistics(params, scheme, eta1, n_blocks, seed, (STREAM_H0, STREAM_H1))
-    k_alpha = int(np.count_nonzero(t0 >= tau))
-    k_beta = int(np.count_nonzero(t1 < tau))
-    alpha_hat = k_alpha / n_blocks
-    beta_hat = k_beta / n_blocks
-    ha = _proportion_halfwidth(k_alpha, n_blocks)
-    hb = _proportion_halfwidth(k_beta, n_blocks)
-    return SimulationReport(
-        n_blocks=n_blocks,
-        seed=seed,
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        xi_hat=alpha_hat + beta_hat,
-        ci_halfwidth={
-            "alpha": float(ha),
-            "beta": float(hb),
-            "xi": float(np.hypot(ha, hb)),
-        },
-    )
-
-
 def detection_curve(
     params: SystemParams,
     scheme: SchemeConfig,
@@ -144,16 +81,24 @@ def detection_curve(
     taus,
     n_blocks: int,
     seed: int,
-    streams: tuple[int, int] = (STREAM_H0, STREAM_H1),
+    streams: tuple[int, int],
 ):
     """Empirical alpha/beta over a whole threshold grid from one draw set.
 
-    One set of fading blocks per hypothesis is shared by all thresholds
-    (the standard construction for detector operating curves); each point
-    is still marginally a binomial estimate at n_blocks trials.
+    Each hypothesis gets an independent block of n_blocks fading draws
+    from its own stream of the pair (the error rates are marginal
+    probabilities; coupling them buys nothing). One draw set per
+    hypothesis is shared by all thresholds (the standard construction for
+    detector operating curves); each point is still marginally a binomial
+    estimate at n_blocks trials.
     """
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     taus = np.asarray(taus, dtype=float)
-    t0, t1 = _draw_statistics(params, scheme, eta1, n_blocks, seed, streams)
+    g0 = substream(seed, streams[0]).exponential(params.lambda_ar, n_blocks)
+    g1 = substream(seed, streams[1]).exponential(params.lambda_ar, n_blocks)
+    t0 = sufficient_statistic(params, scheme, params.eta0, g0)
+    t1 = sufficient_statistic(params, scheme, eta1, g1)
     t0.sort()
     t1.sort()
     alpha_hat = 1.0 - np.searchsorted(t0, taus, side="left") / n_blocks
@@ -179,44 +124,13 @@ def simulate_covert_rate(
     values = np.log2(1.0 + relaying.covert_snr(params, scheme, eta1, draw))
     c_hat = float(np.mean(values))
     if n_blocks > 1:
-        half = _Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks)
+        half = Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks)
     else:
         half = float("nan")
     return SimulationReport(
         n_blocks=n_blocks,
         seed=seed,
         c_hat=c_hat,
-        ci_halfwidth={"c": half},
+        ci_halfwidth=half,
     )
 
-
-def validate_threshold_optimality(
-    params: SystemParams,
-    scheme: SchemeConfig,
-    eta1: float,
-    grid_size: int,
-    seed: int,
-    n_blocks: int = 10**5,
-) -> bool:
-    """Check the closed-form threshold against a threshold grid by Monte Carlo.
-
-    True iff the empirical error at the derived threshold does not exceed
-    any of grid_size log-spaced grid points' by more than 3 half-widths.
-    All thresholds share one draw set per hypothesis.
-    """
-    if grid_size < 100:
-        raise ValueError(f"grid_size must be >= 100, got {grid_size}")
-    tau_star = detection.optimal_threshold(params, scheme, eta1)
-    delta = tau_star - params.sigma2_a
-    offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, grid_size)
-    taus = np.append(params.sigma2_a + offsets, tau_star)
-
-    a_hat, b_hat = detection_curve(
-        params, scheme, eta1, taus, n_blocks, seed, streams=(STREAM_GRID_H0, STREAM_GRID_H1)
-    )
-    a_grid, b_grid = a_hat[:-1], b_hat[:-1]
-    half = np.hypot(
-        _proportion_halfwidth(np.round(a_grid * n_blocks), n_blocks),
-        _proportion_halfwidth(np.round(b_grid * n_blocks), n_blocks),
-    )
-    return bool(np.all(a_hat[-1] + b_hat[-1] <= a_grid + b_grid + 3.0 * half))

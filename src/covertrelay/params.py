@@ -25,13 +25,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    """Convert a power in watts to dBm."""
-    if p_watts <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p_watts) + 30.0
-
-
 def path_loss(d: float, m: float, fc: float) -> float:
     """Distance-power path loss gain: (c / (4 pi fc))^2 * d^(-m).
 

@@ -58,6 +58,26 @@ def _ks_distance(draws: np.ndarray, cdf) -> float:
     return float(max(np.max(np.arange(1.0, n + 1) / n - c), np.max(c - np.arange(0.0, n) / n)))
 
 
+def _proportion_halfwidth(successes, n: int):
+    # Agresti-Coull 95% half-width; broadcasts over success counts and stays
+    # positive even at empirical rates of exactly 0 or 1.
+    z2 = montecarlo.Z95 * montecarlo.Z95
+    n_adj = n + z2
+    p_adj = (successes + 0.5 * z2) / n_adj
+    return montecarlo.Z95 * np.sqrt(p_adj * (1.0 - p_adj) / n_adj)
+
+
+def _optimal_on_grid(a_hat: np.ndarray, b_hat: np.ndarray, n_blocks: int) -> bool:
+    """True iff the empirical error at the last threshold (the closed-form
+    optimum) exceeds no other threshold's by more than 3 half-widths."""
+    a_grid, b_grid = a_hat[:-1], b_hat[:-1]
+    half = np.hypot(
+        _proportion_halfwidth(np.round(a_grid * n_blocks), n_blocks),
+        _proportion_halfwidth(np.round(b_grid * n_blocks), n_blocks),
+    )
+    return bool(np.all(a_hat[-1] + b_hat[-1] <= a_grid + b_grid + 3.0 * half))
+
+
 def __getattr__(name: str):
     # benchmarks/tracing.py still hooks validate.stats.kstest (ROADMAP item 6).
     # Resolve it on demand and do not cache it in the module globals, so that
@@ -119,7 +139,8 @@ def run_validation(
         # Threshold optimality: closed form against a threshold grid, and
         # the minimum against the ratio-only expression.
         tau_star = detection.optimal_threshold(params, scheme, eta1_mid)
-        offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * (tau_star - params.sigma2_a), 10**4)
+        delta = tau_star - params.sigma2_a
+        offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 10**4)
         xi_grid = detection.detection_error(params, scheme, eta1_mid, params.sigma2_a + offsets).xi
         xi_min.append(detection.detection_error(params, scheme, eta1_mid, tau_star).xi)
         xi_at_star = xi_min[-1] * skew
@@ -127,19 +148,25 @@ def run_validation(
         xi_ratio = detection.min_detection_error(params.eta0 / eta1_mid)
         results.append(_check(f"xi-star-closed-form-{tag}", abs(xi_at_star - xi_ratio), 1e-10))
 
+        # One Monte Carlo draw set per hypothesis, on this scheme's own
+        # streams, serves detection-mc (3 thresholds) and
+        # threshold-optimality (a 2000-point grid plus the optimum).
+        taus_mc = params.sigma2_a + np.array([0.3, 1.0, 3.0]) * delta
+        taus_grid = params.sigma2_a + np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 2000)
+        taus = np.concatenate([taus_mc, taus_grid, [tau_star]])
+        streams = ((montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1) if tag == TS
+                   else (montecarlo.STREAM_DETECTION_PS_H0, montecarlo.STREAM_DETECTION_PS_H1))
+        n_det = min(mc_blocks, 10**5)
+        a_hat, b_hat = montecarlo.detection_curve(params, scheme, eta1_mid, taus, n_det, seed, streams)
+
         # Detection rates against Monte Carlo tallies (DETECTION_MC_Z
         # binomial standard errors computed from the closed-form rates).
-        n_det = min(mc_blocks, 10**5)
-        worst = 0.0
-        for k, mult in enumerate((0.3, 1.0, 3.0)):
-            tau = params.sigma2_a + mult * (tau_star - params.sigma2_a)
-            rep = montecarlo.simulate_detection(params, scheme, eta1_mid, tau, n_det, seed + k)
-            a = detection.false_alarm(params, scheme, tau) * skew
-            b = detection.miss_detection(params, scheme, eta1_mid, tau) * skew
-            se_a = max(np.sqrt(a * (1 - a) / n_det), 1.0 / n_det)
-            se_b = max(np.sqrt(b * (1 - b) / n_det), 1.0 / n_det)
-            worst = max(worst, abs(rep.alpha_hat - a) / (DETECTION_MC_Z * se_a),
-                        abs(rep.beta_hat - b) / (DETECTION_MC_Z * se_b))
+        a = detection.false_alarm(params, scheme, taus_mc) * skew
+        b = detection.miss_detection(params, scheme, eta1_mid, taus_mc) * skew
+        se_a = np.maximum(np.sqrt(a * (1 - a) / n_det), 1.0 / n_det)
+        se_b = np.maximum(np.sqrt(b * (1 - b) / n_det), 1.0 / n_det)
+        worst = max(np.max(np.abs(a_hat[:3] - a) / (DETECTION_MC_Z * se_a)),
+                    np.max(np.abs(b_hat[:3] - b) / (DETECTION_MC_Z * se_b)))
         results.append(_check(f"detection-mc-{tag}", worst, 1.0))
 
         # Rate quadrature against Monte Carlo.
@@ -157,9 +184,7 @@ def run_validation(
 
         # Threshold optimality on a grid, empirical side (the closed-form
         # side is threshold-grid above).
-        ok = montecarlo.validate_threshold_optimality(
-            params, scheme, eta1_mid, grid_size=2000, seed=seed, n_blocks=min(mc_blocks, 10**5)
-        )
+        ok = _optimal_on_grid(a_hat[3:], b_hat[3:], n_det)
         results.append(_check(f"threshold-optimality-{tag}", 0.0 if ok else 1.0, 0.0))
 
     # Scheme-independent checks.

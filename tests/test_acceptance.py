@@ -22,13 +22,13 @@ from covertrelay import (
     optimal_eta1,
     optimal_threshold,
     simulate_covert_rate,
-    simulate_detection,
     sinr_h1,
     snr_h0,
 )
 from covertrelay import experiments as ex
 from covertrelay.cli import EXIT_OK, main
 from covertrelay.detection import statistic_scale
+from covertrelay.montecarlo import STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1, detection_curve
 from covertrelay.params import default_params
 from covertrelay.rates import BINDING_COVERTNESS, BINDING_HARVESTER
 
@@ -77,8 +77,9 @@ def test_criterion_2_fig2_reproduction():
         scheme = SchemeConfig(variant, 0.5)
         tau_star = optimal_threshold(params, scheme, eta1)
         xi_min[variant] = detection_error(params, scheme, eta1, tau_star).xi
-        rep = simulate_detection(params, scheme, eta1, tau_star, 10**6, seed=1002)
-        assert abs(rep.xi_hat - xi_min[variant]) <= 5e-3
+        a_hat, b_hat = detection_curve(params, scheme, eta1, [tau_star], 10**6, seed=1002,
+                                       streams=(STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1))
+        assert abs(a_hat[0] + b_hat[0] - xi_min[variant]) <= 5e-3
     assert abs(xi_min["ts"] - XI_STAR_FIG2) <= 1e-6
     assert abs(xi_min["ts"] - xi_min["ps"]) <= 1e-10
     _report(2, f"xi* = {xi_min['ts']:.6f} (oracle {XI_STAR_FIG2:.6f}), MC within 5e-3",
@@ -101,12 +102,13 @@ def test_criterion_3_detection_rates_vs_monte_carlo():
         eta1 = rng.uniform(p.eta0 * 1.02, p.eta_u)
         k1 = statistic_scale(p, scheme, eta1)
         tau = p.sigma2_a + rng.uniform(0.05, 20.0) * k1 * p.lambda_ar**2
-        rep = simulate_detection(p, scheme, eta1, tau, n, seed=2000 + trial)
+        a_hat, b_hat = detection_curve(p, scheme, eta1, [tau], n, seed=2000 + trial,
+                                       streams=(STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1))
         a = false_alarm(p, scheme, tau)
         b = miss_detection(p, scheme, eta1, tau)
         se_a = max(np.sqrt(a * (1 - a) / n), 1.0 / n)
         se_b = max(np.sqrt(b * (1 - b) / n), 1.0 / n)
-        worst = max(worst, abs(rep.alpha_hat - a) / se_a, abs(rep.beta_hat - b) / se_b)
+        worst = max(worst, abs(a_hat[0] - a) / se_a, abs(b_hat[0] - b) / se_b)
     assert worst <= 3.0
     _report(3, f"20 random (tau, params) pairs, worst deviation {worst:.2f} sigma <= 3",
             time.monotonic() - start, cap=60.0)

@@ -69,6 +69,11 @@ def test_fig2_rejects_zero_mc_blocks(capsys):
     assert "n_blocks must be >= 1" in capsys.readouterr().err
 
 
+def test_validate_rejects_zero_mc_blocks(capsys):
+    assert main(["validate", "--mc-blocks", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: n_blocks must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

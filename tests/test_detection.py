@@ -12,7 +12,6 @@ from covertrelay import (
     miss_detection,
     optimal_threshold,
     solve_phi_epsilon,
-    xi_star_range,
 )
 from covertrelay.detection import statistic_scale
 
@@ -171,15 +170,6 @@ def test_min_detection_error_strictly_increasing():
     grid = np.linspace(0.01, 0.99, 1000)
     values = np.array([min_detection_error(p) for p in grid])
     assert np.all(np.diff(values) > 0)
-
-
-def test_xi_star_range_values():
-    assert xi_star_range(0.5, 0.5) == (1.0, 1.0)
-    lo, hi = xi_star_range(0.4, 0.8)
-    assert hi == 1.0
-    assert lo == pytest.approx(XI_STAR_HALF, abs=1e-10)
-    lo, _ = xi_star_range(0.2, 0.8)
-    assert lo == pytest.approx(0.75, abs=1e-12)
 
 
 def test_solve_phi_epsilon_values():

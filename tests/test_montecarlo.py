@@ -9,17 +9,21 @@ from covertrelay import (
     miss_detection,
     optimal_threshold,
     simulate_covert_rate,
-    simulate_detection,
     sufficient_statistic,
-    validate_threshold_optimality,
 )
 from covertrelay.detection import statistic_scale
 from covertrelay import montecarlo
 from covertrelay.montecarlo import detection_curve, substream
+from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth
 
 from conftest import random_params
 
 XI_STAR_4_7 = 0.8973990224044965
+
+# Pointwise detection checks draw from streams 0/1 and threshold-grid
+# checks from streams 3/4, whatever the scheme.
+POINT_STREAMS = (montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1)
+GRID_STREAMS = (montecarlo.STREAM_DETECTION_PS_H0, montecarlo.STREAM_DETECTION_PS_H1)
 
 
 def test_statistic_noise_floor(params, ts):
@@ -51,43 +55,40 @@ def test_statistic_cdf_matches_empirical(params, ts, ps):
         assert ks.statistic <= 0.003
 
 
-def test_simulate_detection_below_noise_floor(params, ts):
-    rep = simulate_detection(params, ts, 0.7, 0.5 * params.sigma2_a, 10**4, seed=1)
-    assert rep.alpha_hat == 1.0
-    assert rep.beta_hat == 0.0
-    assert rep.xi_hat == 1.0
+def test_detection_curve_below_noise_floor(params, ts):
+    a_hat, b_hat = detection_curve(params, ts, 0.7, [0.5 * params.sigma2_a], 10**4, seed=1,
+                                   streams=POINT_STREAMS)
+    assert a_hat[0] == 1.0
+    assert b_hat[0] == 0.0
 
 
-def test_simulate_detection_identical_hypotheses(params, ts):
+def test_detection_curve_identical_hypotheses(params, ts):
     tau = optimal_threshold(params, ts, 0.7)
-    rep = simulate_detection(params, ts, params.eta0, tau, 10**4, seed=2)
+    n = 10**4
+    a_hat, b_hat = detection_curve(params, ts, params.eta0, [tau], n, seed=2, streams=POINT_STREAMS)
+    half = np.hypot(_proportion_halfwidth(np.round(a_hat * n), n),
+                    _proportion_halfwidth(np.round(b_hat * n), n))
     # Identical distributions make the error rates complementary in
     # expectation; the hypotheses use independent draw sets, so the
     # realization fluctuates within its interval around 1.
-    assert rep.xi_hat == pytest.approx(1.0, abs=2 * rep.ci_halfwidth["xi"])
+    assert a_hat[0] + b_hat[0] == pytest.approx(1.0, abs=2 * half[0])
 
 
-def test_simulate_detection_fig2_point(params, ts, ps):
+def test_detection_curve_fig2_point(params, ts, ps):
     for scheme in (ts, ps):
         tau_star = optimal_threshold(params, scheme, 0.7)
-        rep = simulate_detection(params, scheme, 0.7, tau_star, 10**6, seed=3)
-        assert rep.xi_hat == pytest.approx(XI_STAR_4_7, abs=5e-3)
+        a_hat, b_hat = detection_curve(params, scheme, 0.7, [tau_star], 10**6, seed=3,
+                                       streams=POINT_STREAMS)
+        assert a_hat[0] + b_hat[0] == pytest.approx(XI_STAR_4_7, abs=5e-3)
 
 
-def test_simulate_detection_deterministic(params, ts):
+def test_detection_curve_deterministic(params, ts):
     tau = optimal_threshold(params, ts, 0.7)
-    a = simulate_detection(params, ts, 0.7, tau, 10**5, seed=44)
-    b = simulate_detection(params, ts, 0.7, tau, 10**5, seed=44)
-    assert a == b
-    c = simulate_detection(params, ts, 0.7, tau, 10**5, seed=45)
-    assert c.alpha_hat != a.alpha_hat or c.beta_hat != a.beta_hat
-
-
-def test_simulate_detection_halfwidths_positive(params, ts):
-    rep = simulate_detection(params, ts, 0.7, 0.5 * params.sigma2_a, 100, seed=5)
-    assert rep.ci_halfwidth["alpha"] > 0  # positive even at an empirical rate of 1
-    assert rep.ci_halfwidth["beta"] > 0
-    assert rep.ci_halfwidth["xi"] > 0
+    a = detection_curve(params, ts, 0.7, [tau], 10**5, seed=44, streams=POINT_STREAMS)
+    b = detection_curve(params, ts, 0.7, [tau], 10**5, seed=44, streams=POINT_STREAMS)
+    assert np.array_equal(a, b)
+    c = detection_curve(params, ts, 0.7, [tau], 10**5, seed=45, streams=POINT_STREAMS)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
@@ -100,19 +101,19 @@ def test_detection_rates_within_three_sigma(params, variant):
         eta1 = rng.uniform(p.eta0 * 1.05, p.eta_u)
         k1 = statistic_scale(p, scheme, eta1)
         tau = p.sigma2_a + rng.uniform(0.05, 20.0) * k1 * p.lambda_ar**2
-        rep = simulate_detection(p, scheme, eta1, tau, n, seed=50 + trial)
+        a_hat, b_hat = detection_curve(p, scheme, eta1, [tau], n, seed=50 + trial, streams=POINT_STREAMS)
         a = false_alarm(p, scheme, tau)
         b = miss_detection(p, scheme, eta1, tau)
         se_a = max(np.sqrt(a * (1 - a) / n), 1.0 / n)
         se_b = max(np.sqrt(b * (1 - b) / n), 1.0 / n)
-        assert abs(rep.alpha_hat - a) <= 3 * se_a
-        assert abs(rep.beta_hat - b) <= 3 * se_b
+        assert abs(a_hat[0] - a) <= 3 * se_a
+        assert abs(b_hat[0] - b) <= 3 * se_b
 
 
 def test_detection_curve_matches_pointwise(params, ts):
     taus = np.geomspace(params.sigma2_a, params.sigma2_a * 100.0, 7)
     n = 10**5
-    a_curve, b_curve = detection_curve(params, ts, 0.7, taus, n, seed=8)
+    a_curve, b_curve = detection_curve(params, ts, 0.7, taus, n, seed=8, streams=POINT_STREAMS)
     a_true = false_alarm(params, ts, taus)
     b_true = miss_detection(params, ts, 0.7, taus)
     se = np.sqrt(np.maximum(a_true * (1 - a_true), b_true * (1 - b_true)) / n) + 1.0 / n
@@ -135,7 +136,7 @@ def test_simulate_covert_rate_matches_quadrature(params, ts, ps):
 def test_simulate_covert_rate_ci_scaling(params, ts):
     rep1 = simulate_covert_rate(params, ts, 0.7, 10**5, seed=11)
     rep2 = simulate_covert_rate(params, ts, 0.7, 2 * 10**5, seed=11)
-    ratio = rep2.ci_halfwidth["c"] / rep1.ci_halfwidth["c"]
+    ratio = rep2.ci_halfwidth / rep1.ci_halfwidth
     assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.10)
 
 
@@ -145,30 +146,32 @@ def test_simulate_covert_rate_deterministic(params, ps):
     assert a == b
 
 
+def _optimal_on_threshold_grid(params, scheme, eta1, grid_size, seed, n_blocks=10**5):
+    # validate's threshold-optimality rule on a grid_size-point threshold grid.
+    tau_star = optimal_threshold(params, scheme, eta1)
+    offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * (tau_star - params.sigma2_a), grid_size)
+    taus = np.append(params.sigma2_a + offsets, tau_star)
+    a_hat, b_hat = detection_curve(params, scheme, eta1, taus, n_blocks, seed, streams=GRID_STREAMS)
+    return _optimal_on_grid(a_hat, b_hat, n_blocks)
+
+
 def test_threshold_optimality_fig2(params, ts):
-    assert validate_threshold_optimality(params, ts, 0.7, grid_size=10**4, seed=13)
+    assert _optimal_on_threshold_grid(params, ts, 0.7, grid_size=10**4, seed=13)
 
 
 def test_threshold_optimality_near_degenerate(params, ts):
-    assert validate_threshold_optimality(params, ts, params.eta0 * 1.001, grid_size=10**3, seed=14)
+    assert _optimal_on_threshold_grid(params, ts, params.eta0 * 1.001, grid_size=10**3, seed=14)
 
 
 def test_threshold_optimality_extreme_split(params):
-    assert validate_threshold_optimality(params, SchemeConfig.ps(0.9), 0.7, grid_size=10**3, seed=15)
-
-
-def test_threshold_optimality_rejects_small_grid(params, ts):
-    with pytest.raises(ValueError):
-        validate_threshold_optimality(params, ts, 0.7, grid_size=50, seed=16)
+    assert _optimal_on_threshold_grid(params, SchemeConfig.ps(0.9), 0.7, grid_size=10**3, seed=15)
 
 
 def test_simulation_report_rejects_empty(params, ts):
     with pytest.raises(ValueError):
-        simulate_detection(params, ts, 0.7, 1.0, 0, seed=17)
-    with pytest.raises(ValueError):
         simulate_covert_rate(params, ts, 0.7, 0, seed=18)
     with pytest.raises(ValueError):
-        detection_curve(params, ts, 0.7, [1.0], 0, seed=19)
+        detection_curve(params, ts, 0.7, [1.0], 0, seed=19, streams=POINT_STREAMS)
 
 
 def test_stream_numbers_are_distinct():

@@ -4,7 +4,8 @@ from scipy import stats
 
 from covertrelay import default_params, detection, montecarlo
 from covertrelay.params import PS, TS, SchemeConfig
-from covertrelay.validate import KS_DRAWS, _ks_distance, format_report, run_validation
+from covertrelay.validate import (KS_DRAWS, _ks_distance, _proportion_halfwidth, format_report,
+                                  run_validation)
 
 SEED = 101
 
@@ -29,6 +30,36 @@ def test_suite_covers_both_schemes(results):
     assert "xi-star-scheme-equal" in names
     assert "budget-identity" in names
     assert "channel-ks" in names
+
+
+def test_check_names_in_report_order(results):
+    per_scheme = ("power-balance", "snr-match", "covert-snr-forms", "threshold-grid",
+                  "xi-star-closed-form", "detection-mc", "quad-convergence", "rate-quad-vs-mc",
+                  "statistic-cdf-ks", "threshold-optimality")
+    expected = [f"{stem}-{tag}" for tag in ("ts", "ps") for stem in per_scheme]
+    expected += ["xi-star-scheme-equal", "xi-star-monotone", "budget-identity", "channel-ks"]
+    assert [r.name for r in results] == expected
+
+
+def test_detection_mc_schemes_draw_independently(results):
+    # Each scheme tallies its own draw set, so the two checks are separate tests.
+    measured = {r.name: r.measured for r in results}
+    assert measured["detection-mc-ts"] != measured["detection-mc-ps"]
+
+
+def test_proportion_halfwidth_positive(params, ts):
+    # 100 blocks below the noise floor: empirical rates of exactly 1 and 0.
+    n = 100
+    a_hat, b_hat = montecarlo.detection_curve(
+        params, ts, 0.7, [0.5 * params.sigma2_a], n, seed=5,
+        streams=(montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1),
+    )
+    assert (a_hat[0], b_hat[0]) == (1.0, 0.0)
+    ha = _proportion_halfwidth(np.round(a_hat[0] * n), n)
+    hb = _proportion_halfwidth(np.round(b_hat[0] * n), n)
+    assert ha > 0
+    assert hb > 0
+    assert np.hypot(ha, hb) > 0
 
 
 def test_report_lists_measured_vs_tolerated(results):
