@@ -10,13 +10,17 @@ Exact numeric overlay with published curves is not possible because the
 harvesting fractions behind them are unstated; the recipes default to
 fraction='auto', which pins each point's fraction to the value maximizing
 the no-covert forwarded rate.
+
+fig3, fig4 and fig6 build their point list first and then make one
+fraction search and one covert-rate call per scheme over all of it
+(rates' lane-batched functions); sweep batches its fraction search but
+evaluates rates point by point.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,18 +46,19 @@ _FIG2_STREAMS = {
 }
 
 
-@lru_cache(maxsize=2048)
-def _auto_fraction(params: SystemParams, variant: str) -> float:
-    return rates.optimize_harvest_fraction(params, variant)
+def resolve_fractions(points, variant: str, fraction) -> list[float]:
+    """Turn a fraction setting (float or 'auto') into one value per point.
 
-
-def resolve_fraction(params: SystemParams, variant: str, fraction) -> float:
-    """Turn a fraction setting (float or 'auto') into a concrete value."""
-    if fraction == "auto":
-        # The objective ignores the covertness target, so normalize it out
-        # of the cache key (sweeps over epsilon reuse one optimization).
-        return _auto_fraction(params.with_updates(epsilon=0.0), variant)
-    return float(fraction)
+    'auto' runs one lane-batched search over the distinct points. The
+    objective ignores the covertness target, so epsilon is normalized out
+    first: an epsilon sweep shares one search per point.
+    """
+    if fraction != "auto":
+        return [float(fraction)] * len(points)
+    keys = [p.with_updates(epsilon=0.0) for p in points]
+    unique = list(dict.fromkeys(keys))
+    found = dict(zip(unique, rates.optimize_harvest_fractions(unique, variant).tolist()))
+    return [found[k] for k in keys]
 
 
 def scheme_variants(selector: str) -> tuple[str, ...]:
@@ -69,13 +74,10 @@ def params_columns(params: SystemParams) -> dict:
     return {f.column: getattr(params, key) for key, f in CONFIG_FIELDS.items()}
 
 
-def _rate_outputs(params: SystemParams, scheme: SchemeConfig) -> dict:
-    eta1_star, binding = rates.optimal_eta1(params)
-    rate = rates.average_covert_rate(params, scheme, eta1_star)
-    phi_eps = detection.solve_phi_epsilon(params.epsilon)
+def _rate_outputs(point: SystemParams, eta1_star: float, binding: str, rate: rates.RateResult) -> dict:
     return {
         "eta1_star": eta1_star,
-        "phi_eps": phi_eps,
+        "phi_eps": detection.solve_phi_epsilon(point.epsilon),
         "psi_star": rate.psi,
         "c_avg": rate.c_avg,
         "quad_error": rate.quad_error,
@@ -83,18 +85,28 @@ def _rate_outputs(params: SystemParams, scheme: SchemeConfig) -> dict:
     }
 
 
-def _rate_rows(point: SystemParams, fraction, scheme_selector: str, **extra) -> list[dict]:
-    """One rate row per selected scheme; extra columns follow scheme and fraction."""
-    rows = []
+def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, scheme_selector: str) -> list[dict]:
+    """One rate row per point and selected scheme, in point order.
+
+    Each scheme makes one fraction search and one covert-rate call over
+    all points; extra columns follow scheme and fraction.
+    """
+    optima = [rates.optimal_eta1(p) for p in points]
+    eta1s = [eta1 for eta1, _ in optima]
+    per_scheme = []
     for variant in scheme_variants(scheme_selector):
-        scheme = SchemeConfig(variant, resolve_fraction(point, variant, fraction))
-        rows.append({
-            "scheme": variant,
-            "fraction": scheme.fraction,
-            **extra,
-            **_rate_outputs(point, scheme),
-            **params_columns(point),
-        })
+        fractions = resolve_fractions(points, variant, fraction)
+        per_scheme.append((variant, fractions, rates.average_covert_rates(points, variant, fractions, eta1s)))
+    rows = []
+    for i, (point, extra, (eta1_star, binding)) in enumerate(zip(points, extras, optima)):
+        for variant, fractions, results in per_scheme:
+            rows.append({
+                "scheme": variant,
+                "fraction": fractions[i],
+                **extra,
+                **_rate_outputs(point, eta1_star, binding, results[i]),
+                **params_columns(point),
+            })
     return rows
 
 
@@ -113,8 +125,10 @@ def run_fig2(
     thresholds is shared by them; the optimum of each scheme is inserted
     as an extra marked row.
     """
+    if n_tau < 2:
+        raise ValueError(f"n_tau must be >= 2, got {n_tau}")
     schemes = [
-        SchemeConfig(v, resolve_fraction(params, v, fraction))
+        SchemeConfig(v, resolve_fractions([params], v, fraction)[0])
         for v in scheme_variants(scheme_selector)
     ]
     deltas = [detection.optimal_threshold(params, s, eta1) - params.sigma2_a for s in schemes]
@@ -160,12 +174,10 @@ def run_fig3(
     scheme_selector: str = "both",
 ) -> list[dict]:
     """Maximum effective covert rate versus source power, per scheme and eta0."""
-    rows = []
-    for eta0 in eta0_values:
-        for pa_dbm in pa_dbm_values:
-            point = params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0)
-            rows += _rate_rows(point, fraction, scheme_selector, pa_dbm=float(pa_dbm))
-    return rows
+    grid = [(eta0, pa_dbm) for eta0 in eta0_values for pa_dbm in pa_dbm_values]
+    points = [params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0) for eta0, pa_dbm in grid]
+    extras = [{"pa_dbm": float(pa_dbm)} for _, pa_dbm in grid]
+    return _rate_rows(points, extras, fraction, scheme_selector)
 
 
 def fig4_eta0_grid(eta_u: float, n: int = FIG4_GRID_POINTS) -> np.ndarray:
@@ -183,14 +195,13 @@ def run_fig4(
     """Maximum effective covert rate versus eta0 for a set of covertness targets."""
     if eta0_values is None:
         eta0_values = fig4_eta0_grid(params.eta_u)
-    rows = []
+    points, extras = [], []
     for epsilon in epsilons:
-        phi_eps = detection.solve_phi_epsilon(epsilon)
-        eta0_dagger = phi_eps * params.eta_u
+        eta0_dagger = detection.solve_phi_epsilon(epsilon) * params.eta_u
         for eta0 in eta0_values:
-            point = params.with_updates(eta0=float(eta0), epsilon=float(epsilon))
-            rows += _rate_rows(point, fraction, scheme_selector, eta0_dagger=eta0_dagger)
-    return rows
+            points.append(params.with_updates(eta0=float(eta0), epsilon=float(epsilon)))
+            extras.append({"eta0_dagger": eta0_dagger})
+    return _rate_rows(points, extras, fraction, scheme_selector)
 
 
 def run_fig5(
@@ -228,18 +239,13 @@ def run_fig6(
     scheme_selector: str = "both",
 ) -> list[dict]:
     """Maximum effective covert rate versus relay placement on a fixed path."""
-    rows = []
-    for pa_dbm in pa_dbm_values:
-        for d_ar in d_ar_values:
-            point = params.with_updates(
-                Pa=dbm_to_watts(pa_dbm),
-                d_ar=float(d_ar),
-                d_rb=float(total_distance - d_ar),
-            )
-            rows += _rate_rows(
-                point, fraction, scheme_selector, pa_dbm=float(pa_dbm), total_distance_m=total_distance
-            )
-    return rows
+    grid = [(pa_dbm, d_ar) for pa_dbm in pa_dbm_values for d_ar in d_ar_values]
+    points = [
+        params.with_updates(Pa=dbm_to_watts(pa_dbm), d_ar=float(d_ar), d_rb=float(total_distance - d_ar))
+        for pa_dbm, d_ar in grid
+    ]
+    extras = [{"pa_dbm": float(pa_dbm), "total_distance_m": total_distance} for pa_dbm, _ in grid]
+    return _rate_rows(points, extras, fraction, scheme_selector)
 
 
 def run_sweep(
@@ -250,11 +256,14 @@ def run_sweep(
     scheme_selector: str = "both",
 ) -> list[dict]:
     """Sweep one parameter (config units) and record rate and detection outputs."""
+    variants = scheme_variants(scheme_selector)
     if param_name == "fraction":
-        updates = [(float(v), params) for v in values]
+        points = [params] * len(values)
+        fractions = {v: [float(x) for x in values] for v in variants}
     elif param_name in CONFIG_FIELDS:
         conv = CONFIG_FIELDS[param_name].to_si
-        updates = [(None, params.with_updates(**{param_name: conv(float(v))})) for v in values]
+        points = [params.with_updates(**{param_name: conv(float(v))}) for v in values]
+        fractions = {v: resolve_fractions(points, v, fraction) for v in variants}
     else:
         raise ValueError(
             f"unknown sweep parameter {param_name!r}; choose one of "
@@ -262,25 +271,25 @@ def run_sweep(
         )
 
     rows = []
-    for value, (swept_fraction, point) in zip(values, updates):
-        for variant in scheme_variants(scheme_selector):
-            f = swept_fraction if swept_fraction is not None else resolve_fraction(point, variant, fraction)
-            scheme = SchemeConfig(variant, f)
-            out = _rate_outputs(point, scheme)
-            if out["eta1_star"] > point.eta0:
-                tau_star = detection.optimal_threshold(params=point, scheme=scheme, eta1=out["eta1_star"])
-                xi_star = detection.min_detection_error(point.eta0 / out["eta1_star"])
+    for i, (value, point) in enumerate(zip(values, points)):
+        eta1_star, binding = rates.optimal_eta1(point)
+        for variant in variants:
+            scheme = SchemeConfig(variant, fractions[variant][i])
+            rate = rates.average_covert_rate(point, scheme, eta1_star)
+            if eta1_star > point.eta0:
+                tau_star = detection.optimal_threshold(params=point, scheme=scheme, eta1=eta1_star)
+                xi_star = detection.min_detection_error(point.eta0 / eta1_star)
             else:
                 tau_star = float("nan")
                 xi_star = 1.0
             rows.append({
                 "scheme": variant,
-                "fraction": f,
+                "fraction": scheme.fraction,
                 "swept_param": param_name,
                 "swept_value": float(value),
                 "tau_star_w": tau_star,
                 "xi_star": xi_star,
-                **out,
+                **_rate_outputs(point, eta1_star, binding, rate),
                 **params_columns(point),
             })
     return rows

@@ -53,8 +53,6 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 class SimulationReport:
     """Empirical average covert rate with its 95% half-width."""
 
-    n_blocks: int
-    seed: int
     c_hat: float
     ci_halfwidth: float
 
@@ -127,10 +125,5 @@ def simulate_covert_rate(
         half = Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks)
     else:
         half = float("nan")
-    return SimulationReport(
-        n_blocks=n_blocks,
-        seed=seed,
-        c_hat=c_hat,
-        ci_halfwidth=half,
-    )
+    return SimulationReport(c_hat=c_hat, ci_halfwidth=half)
 

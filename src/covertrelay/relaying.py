@@ -193,6 +193,10 @@ def downlink_coefficients(
     1 + covert snr factors as (1 + (p + dp) y)(1 + p r y) over the covert
     denominator, so both log(1 + snr) are sums of logs of polynomials in y
     with closed-form expectations when g_rb is exponential (see rates).
+
+    Apart from the variant, the params and scheme fields meet only
+    arithmetic and array-wise checks, so rates also passes stand-ins whose
+    numeric fields are (lanes, 1) columns and gets one row per lane.
     """
     _check_eta1(params, eta1)
     g = link_gains(params, draw)

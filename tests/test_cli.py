@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -67,6 +68,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_fig2_rejects_zero_mc_blocks(capsys):
     assert main(["fig2", "--mc-blocks", "0"]) == EXIT_USAGE
     assert "n_blocks must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_tau", ["0", "1", "-3"])
+def test_fig2_rejects_a_grid_below_two_thresholds(capsys, n_tau):
+    assert main(["fig2", "--n-tau", n_tau, "--fraction", "0.5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_tau must be >= 2, got {n_tau}\n"
 
 
 def test_validate_rejects_zero_mc_blocks(capsys):
@@ -159,10 +168,24 @@ def test_seed_and_mc_blocks_are_ignored_without_monte_carlo(capsys, argv):
     assert capsys.readouterr().out == first
 
 
-def test_cli_import_loads_no_scipy():
-    """Cold start: importing the CLI loads no scipy; commands import it lazily."""
+def _scipy_modules_after(code: str) -> list[str]:
+    """scipy modules loaded by running code in a fresh interpreter."""
     src = str(pathlib.Path(covertrelay.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, covertrelay.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    """Cold start: importing the CLI loads no scipy; commands import it lazily,
+    and the fraction search at --fraction auto loads no scipy.optimize."""
+    assert _scipy_modules_after("import covertrelay.cli") == []
+    for argv in (["fig3", "--fraction", "auto"],
+                 ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "auto"]):
+        loaded = _scipy_modules_after(
+            "import contextlib, io, covertrelay.cli as cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0"
+        )
+        assert "scipy.special" in loaded  # the rates ran
+        assert not [m for m in loaded if m.startswith("scipy.optimize")], argv

@@ -123,11 +123,14 @@ def test_sweep_fraction(params):
     assert [r["fraction"] for r in rows] == [0.2, 0.5]
 
 
-def test_resolve_fraction_modes(params):
-    assert ex.resolve_fraction(params, "ts", 0.37) == 0.37
-    auto = ex.resolve_fraction(params, "ts", "auto")
+def test_resolve_fractions_modes(params):
+    assert ex.resolve_fractions([params, params], "ts", 0.37) == [0.37, 0.37]
+    (auto,) = ex.resolve_fractions([params], "ts", "auto")
     assert 0.0 < auto < 1.0
-    assert ex.resolve_fraction(params, "ts", "auto") == auto  # cached and deterministic
+    assert ex.resolve_fractions([params], "ts", "auto") == [auto]  # deterministic
+    # The search ignores epsilon: points that differ only in it share one lane.
+    points = [params.with_updates(epsilon=e) for e in (0.05, 0.1, 0.3)]
+    assert ex.resolve_fractions(points, "ts", "auto") == [auto] * 3
 
 
 def test_csv_output_format(params):

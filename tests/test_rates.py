@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from covertrelay import (
     ChannelDraw,
@@ -20,13 +20,19 @@ from covertrelay import (
     optimize_harvest_fraction,
     simulate_covert_rate,
 )
+from covertrelay import relaying
 from covertrelay.params import dbm_to_watts
 from covertrelay.rates import (
+    _OUTER_EXP_T,
     BINDING_COVERTNESS,
     BINDING_HARVESTER,
     QUAD_ERROR_LIMIT,
+    RateResult,
+    average_covert_rates,
     covertness_budget_limit,
+    effective_rate_prefactor,
     expected_rate_h0,
+    optimize_harvest_fractions,
 )
 
 from conftest import random_params
@@ -285,3 +291,70 @@ def test_optimized_fraction_beats_fine_grid(variant, p):
         # search stops within its tolerance of the bound, never on it.
         assert peak in (0, grid.size - 1)
         assert abs(f_star - grid[peak]) <= 1e-5
+
+
+def _scipy_fraction(p, variant):
+    """scipy's bounded Brent on the one-point objective: the search the lanes port."""
+    def negated(f):
+        scheme = SchemeConfig(variant, f)
+        return -(effective_rate_prefactor(scheme) * expected_rate_h0(p, scheme))
+
+    return optimize.minimize_scalar(
+        negated, bounds=(1e-3, 1.0 - 1e-3), method="bounded", options={"xatol": 1e-6}
+    ).x
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+@settings(max_examples=15, deadline=None)
+@given(points=st.lists(domain_params, min_size=1, max_size=6))
+def test_lane_search_equals_scipy_bounded_brent(variant, points):
+    # Mixed parameter points in one call; every lane must take scipy's steps.
+    got = optimize_harvest_fractions(points, variant)
+    assert got.tolist() == [_scipy_fraction(p, variant) for p in points]
+    assert optimize_harvest_fraction(points[0], variant) == got[0]
+
+
+def _rates_and_warning_count(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    assert all(w.category is RuntimeWarning for w in caught)
+    return out, len(caught)
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+@settings(max_examples=15, deadline=None)
+@given(points=st.lists(domain_params, min_size=1, max_size=6), data=st.data())
+def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
+    fractions = [data.draw(st.floats(0.01, 0.99)) for _ in points]
+    eta1s = [data.draw(st.floats(p.eta0, p.eta_u)) for p in points]
+    batched, n_batched = _rates_and_warning_count(
+        lambda: average_covert_rates(points, variant, fractions, eta1s))
+    single, n_single = _rates_and_warning_count(lambda: [
+        average_covert_rate(p, SchemeConfig(variant, f), e) for p, f, e in zip(points, fractions, eta1s)
+    ])
+    assert batched == single
+    assert n_batched == min(n_single, 1)  # one warning covers every flagged lane
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+def test_batched_covert_rate_branches(params, variant):
+    points = [params, params.with_updates(Pa=1.6, eta0=0.3), params, params.with_updates(d_ar=4.0)]
+    fractions = [0.5, 0.3, 0.5, 0.9]
+    eta1s = [0.7, 0.3, params.eta0 + 1e-12, 0.8]  # eta1 == eta0 in lane 1, flagged surplus in lane 2
+    with pytest.warns(RuntimeWarning) as caught:
+        batched = average_covert_rates(points, variant, fractions, eta1s)
+    assert len(caught) == 1
+    assert batched[1] == RateResult(c_avg=0.0, psi=0.0, quad_error=0.0)
+    assert [r.converged for r in batched] == [True, True, False, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert batched == [
+            average_covert_rate(p, SchemeConfig(variant, f), e) for p, f, e in zip(points, fractions, eta1s)
+        ]
+    # Lane 0 takes both root branches: complex denominator roots at weak
+    # uplink nodes, real ones at strong nodes.
+    c = relaying.downlink_coefficients(
+        params, SchemeConfig(variant, 0.5), 0.7, ChannelDraw(params.lambda_ar * _OUTER_EXP_T, params.lambda_rb))
+    disc = (c.p * (1.0 - c.r)) ** 2 - 4.0 * c.r * c.p * c.dp
+    assert (disc < 0).any() and (disc >= 0).any()
