@@ -295,11 +295,26 @@ def run_sweep(
     return rows
 
 
+_FLOAT_SPEC = f".{FLOAT_DIGITS}g"
+
+
+def _format_float(value) -> str:
+    return format(value, _FLOAT_SPEC)
+
+
+# Exact-type dispatch for the cell types the recipes emit; bool is not int
+# here, so it falls through to the chain below.
+_CELL_FORMATS = {float: _format_float, np.float64: _format_float, int: str, str: str}
+
+
 def _format_value(value) -> str:
+    fmt = _CELL_FORMATS.get(type(value))
+    if fmt is not None:
+        return fmt(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
-        return f"{value:.{FLOAT_DIGITS}g}"
+        return _format_float(value)
     return str(value)
 
 
