@@ -49,16 +49,13 @@ _FIG2_STREAMS = {
 def resolve_fractions(points, variant: str, fraction) -> list[float]:
     """Turn a fraction setting (float or 'auto') into one value per point.
 
-    'auto' runs one lane-batched search over the distinct points. The
-    objective ignores the covertness target, so epsilon is normalized out
-    first: an epsilon sweep shares one search per point.
+    'auto' runs one lane-batched search, which evaluates each distinct lane
+    once: the objective ignores the covertness target, so an epsilon sweep
+    shares one search per point.
     """
     if fraction != "auto":
         return [float(fraction)] * len(points)
-    keys = [p.with_updates(epsilon=0.0) for p in points]
-    unique = list(dict.fromkeys(keys))
-    found = dict(zip(unique, rates.optimize_harvest_fractions(unique, variant).tolist()))
-    return [found[k] for k in keys]
+    return rates.optimize_harvest_fractions(points, variant).tolist()
 
 
 def scheme_variants(selector: str) -> tuple[str, ...]:

@@ -3,6 +3,7 @@ import math
 import pathlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,17 @@ from covertrelay import (
     optimize_harvest_fraction,
     simulate_covert_rate,
 )
-from covertrelay import relaying
+from covertrelay import rates, relaying
+from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid
 from covertrelay.params import dbm_to_watts
 from covertrelay.rates import (
+    _ASYMPTOTIC_Z,
+    _H_PAIR_INACCURATE_Z,
+    _H_PAIR_REL_ERR,
+    _H_REL_ERR,
+    _NEAR_EDGES,
     _OUTER_EXP_T,
+    _h,
     BINDING_COVERTNESS,
     BINDING_HARVESTER,
     QUAD_ERROR_LIMIT,
@@ -288,30 +296,115 @@ def test_optimized_fraction_beats_fine_grid(variant, p):
     peak = int(np.argmax(values))
     if objective(f_star) < values[peak] * (1.0 - 1e-12):
         # Only when still rising at a search bound (PS at high SNR): the
-        # search stops within its tolerance of the bound, never on it.
+        # search then returns that bound.
         assert peak in (0, grid.size - 1)
         assert abs(f_star - grid[peak]) <= 1e-5
 
 
-def _scipy_fraction(p, variant):
-    """scipy's bounded Brent on the one-point objective: the search the lanes port."""
-    def negated(f):
+def _fraction_objective(p, variant):
+    """The one-point objective J(f) the search maximizes."""
+    def objective(f):
         scheme = SchemeConfig(variant, f)
-        return -(effective_rate_prefactor(scheme) * expected_rate_h0(p, scheme))
+        return effective_rate_prefactor(scheme) * expected_rate_h0(p, scheme)
 
+    return objective
+
+
+def _scipy_fraction(objective):
+    """scipy's bounded Brent on J, to 1e-10 in the fraction: the independent reference."""
     return optimize.minimize_scalar(
-        negated, bounds=(1e-3, 1.0 - 1e-3), method="bounded", options={"xatol": 1e-6}
+        lambda f: -objective(f), bounds=(1e-3, 1.0 - 1e-3), method="bounded", options={"xatol": 1e-10}
     ).x
+
+
+# fig4's edge lanes: eta0 one step (1e-6) from either end of (0, eta_u).
+edge_params = st.builds(
+    lambda p, low: p.with_updates(eta0=1e-6 if low else p.eta_u - 1e-6), domain_params, st.booleans())
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 @settings(max_examples=15, deadline=None)
-@given(points=st.lists(domain_params, min_size=1, max_size=6))
-def test_lane_search_equals_scipy_bounded_brent(variant, points):
-    # Mixed parameter points in one call; every lane must take scipy's steps.
+@given(points=st.lists(st.one_of(domain_params, edge_params), min_size=1, max_size=6))
+def test_lane_search_reaches_scipy_bounded_brent(variant, points):
+    # Mixed parameter points in one call: no lane may end lower in J than a
+    # tight bounded Brent, and each lane equals its one-lane call.
     got = optimize_harvest_fractions(points, variant)
-    assert got.tolist() == [_scipy_fraction(p, variant) for p in points]
-    assert optimize_harvest_fraction(points[0], variant) == got[0]
+    for p, f in zip(points, got):
+        objective = _fraction_objective(p, variant)
+        assert objective(f) >= (1.0 - 1e-12) * objective(_scipy_fraction(objective))
+    assert [optimize_harvest_fraction(p, variant) for p in points] == got.tolist()
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+def test_lane_search_evaluations_on_fig4_grid(params, variant, monkeypatch):
+    # fig4's 400 points differ in epsilon, which the objective ignores, so
+    # they make 200 lanes; each iteration evaluates the lanes still open.
+    evaluated = []
+    slopes = rates._h0_slopes
+
+    def counted(lanes, draw, variant, f):
+        evaluated.append(len(f))
+        return slopes(lanes, draw, variant, f)
+
+    monkeypatch.setattr(rates, "_h0_slopes", counted)
+    points = [params.with_updates(eta0=float(eta0), epsilon=eps)
+              for eps in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
+    optimize_harvest_fractions(points, variant)
+    assert evaluated[0] == 200
+    assert sum(evaluated) / evaluated[0] <= 7.0
+
+
+def _h_mpmath(z) -> complex:
+    """h(z) = e^z E1(z) at 40 digits."""
+    with mpmath.workdps(40):
+        arg = mpmath.mpc(z.real, z.imag) if isinstance(z, complex) else mpmath.mpf(z)
+        return complex(mpmath.exp(arg) * mpmath.e1(arg))
+
+
+def _one_ulp_around(edges):
+    return np.concatenate([[np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)] for e in edges])
+
+
+def test_h_real_matches_mpmath():
+    # Log-spaced over the double range, plus each branch and band edge and
+    # one ulp either side of it.
+    z = np.concatenate([np.geomspace(1e-300, 1e300, 3001), _one_ulp_around([*_NEAR_EDGES, _ASYMPTOTIC_Z])])
+    ref = np.array([_h_mpmath(float(x)).real for x in z])
+    assert np.max(np.abs(_h(z) - ref) / ref) <= 1e-15
+
+
+def test_h_complex_matches_mpmath():
+    # Re z > 0 with |z| log-uniform in [1e-6, 1e6], plus the series/continued
+    # fraction edge |z| = 1 near the imaginary axis, where the fraction
+    # converges slowest.
+    rng = np.random.default_rng(5)
+    mag = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 2000)), _one_ulp_around([1.0])])
+    arg = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [1.0 - 1e-9, -(1.0 - 1e-9), 0.5]]) * (math.pi / 2)
+    z = mag * np.exp(1j * arg)
+    ref = np.array([_h_mpmath(complex(x)) for x in z])
+    err = np.abs(_h(z) - ref) / np.abs(ref)
+    allowed = np.where(np.abs(z) < _H_PAIR_INACCURATE_Z, _H_PAIR_REL_ERR, _H_REL_ERR)
+    assert (err <= allowed).all()
+
+
+def test_h_at_infinity_and_its_slopes():
+    # z = inf arises where a node's SNR underflows to zero: no rate, no slope.
+    assert _h(np.array([np.inf])).tolist() == [0.0]
+    assert [part.tolist() for part in _h(np.array([np.inf]), slopes=True)] == [[0.0], [0.0], [0.0]]
+
+
+def test_h_slopes_in_asymptotic_branch():
+    # z h - 1 ~ -1/z is summed from the series, not from z h: it keeps its
+    # relative accuracy where z h rounds to 1. The slopes call returns the
+    # same h.
+    z = np.concatenate([np.geomspace(_ASYMPTOTIC_Z, 1e300, 61), _one_ulp_around([_ASYMPTOTIC_Z])[1:]])
+    h, zh1, _ = _h(z, slopes=True)
+    assert (h == _h(z)).all()
+    for x, got in zip(z, zh1):
+        with mpmath.workdps(40 + int(math.log10(x))):
+            arg = mpmath.mpf(float(x))
+            ref = arg * mpmath.exp(arg) * mpmath.e1(arg) - 1
+            assert abs((got - ref) / ref) <= 1e-14
 
 
 def _rates_and_warning_count(call):
