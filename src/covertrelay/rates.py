@@ -268,17 +268,19 @@ def _h(z, slopes=False):
     z h' = z h - 1 and z (z h')' = z ((1 + z) h - 1), which the fraction
     search takes its Newton steps from. Branches with no element are skipped.
     """
-    is_complex = np.iscomplexobj(z)
+    is_complex = z.dtype.kind == "c"
     near = (np.abs(z) if is_complex else z) < _ASYMPTOTIC_Z
     n_near = np.count_nonzero(near)
     if not n_near:
         return _h_asymptotic(z, slopes)
     z_near = z[near]
-    h = _h_complex(z_near) if is_complex else _h_real(z_near)
-    parts = (h,)
+    if is_complex:
+        h = _h_complex(z_near)
+    else:
+        h = _h_polynomial(z_near, _NEAR_EDGES.searchsorted(z_near, side="right"), _NEAR_COEF)
+    parts = (h, z_near * h - 1.0) if slopes else (h,)
     if slopes:
-        zh1 = z_near * h - 1.0
-        parts = (h, zh1, z_near * (h + zh1))
+        parts += (z_near * (h + parts[1]),)
     if n_near == near.size:
         return parts if slopes else h
     # The asymptotic series on every element, with the near ones moved to
@@ -312,11 +314,6 @@ def _power_sum(coef, u):
     return acc
 
 
-def _h_real(z):
-    """h for real 0 < z < _ASYMPTOTIC_Z: the series below _BAND_Z, else its band."""
-    return _h_polynomial(z, np.searchsorted(_NEAR_EDGES, z, side="right"), _NEAR_COEF)
-
-
 def _h_complex(z):
     """h for complex |z| < _ASYMPTOTIC_Z: the series below 1, else the continued fraction."""
     out = np.empty_like(z)
@@ -337,7 +334,8 @@ def _h_complex(z):
 def _h_polynomial(z, branch, table):
     """h from one Horner pass over the columns of table chosen by branch.
 
-    Column 0 is the series in z; any other is a band polynomial in ln z.
+    Column 0 is the series in z, any other a band polynomial in ln z;
+    branch indexes _NEAR_EDGES for real z.
     """
     x = np.log(z * _NEAR_SCALE[branch])
     series = branch == 0
@@ -583,6 +581,8 @@ def optimize_harvest_fractions(points, variant: str) -> np.ndarray:
     """
     values = _lane_values(points)
     unique = list(dict.fromkeys(values))
+    if not unique:
+        return np.empty(0)
     found = dict(zip(unique, _newton_search(_lanes(unique), variant, len(unique))))
     return np.array([found[v] for v in values])
 
@@ -632,21 +632,21 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
 def optimize_harvest_fraction(params: SystemParams, variant: str) -> float:
     """Harvesting fraction maximizing the no-covert effective forwarded rate.
 
-    Safeguarded Newton on dJ/dv = 0 over (1e-3, 1 - 1e-3), with v = logit of
-    the fraction: J, dJ/dv and d2J/dv2 come from one evaluation of h and its
-    ln z derivatives, and the search stops once a Newton step is below
-    1e-4 in v. The objective vanishes at both ends of (0, 1), so the maximum
-    is interior; for PS at high SNR it can lie above 1 - 1e-3, and the
-    search then returns that bound. A local search finds the maximum
-    because the objective is unimodal.
+    Safeguarded Newton on J'(v) = 0 over (1e-3, 1 - 1e-3), with v the logit
+    of the fraction: J' and J'' come from one evaluation of h and its ln z
+    derivatives, and the search stops once a Newton step is below 1e-4 in
+    v. The objective vanishes at both ends of (0, 1), so the maximum is
+    interior; for PS at high SNR it can lie above 1 - 1e-3, and the search
+    then returns that bound. A local search finds the maximum because the
+    objective is unimodal.
 
-    For TS: with v = f / (1 - f) the prefactor is (1 - f)/2 = 1/(2(1 + v))
-    and the harvest coefficient is 2v, so J = H(2v) / (2(1 + v)), where H(c)
+    For TS: with w = f / (1 - f) the prefactor is (1 - f)/2 = 1/(2(1 + w))
+    and the harvest coefficient is 2w, so J = H(2w) / (2(1 + w)), where H(c)
     is the forwarded rate at harvest coefficient c. Per realization snr_h0
     is a concave increasing linear-fractional function of c, so H is
-    concave with H(0) = 0. J'(v) has the sign of
-    phi(v) = 2 H'(2v)(1 + v) - H(2v), and phi'(v) = 4 H''(2v)(1 + v) <= 0,
-    so J' changes sign at most once. For PS there is no such proof; the
-    tests check it against a fine grid.
+    concave with H(0) = 0. J'(w) has the sign of
+    phi(w) = 2 H'(2w)(1 + w) - H(2w), and phi'(w) = 4 H''(2w)(1 + w) <= 0,
+    so J' changes sign at most once, in w and so in v = ln w. For PS there
+    is no such proof; the tests check it against a fine grid.
     """
     return float(optimize_harvest_fractions([params], variant)[0])

@@ -177,6 +177,12 @@ def _scipy_modules_after(code: str) -> list[str]:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("fraction", ["auto", "0.5"])
+def test_empty_sweep_is_a_usage_error(capsys, fraction):
+    assert main(["sweep", "--param", "Pa", "--linspace", "0", "10", "0", "--fraction", fraction]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: no rows to write\n"
+
+
 def test_cli_import_loads_no_scipy():
     """No CLI command loads scipy: importing the CLI, and each subcommand run
     in a fresh interpreter (scipy is a test-only oracle)."""
