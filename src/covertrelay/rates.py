@@ -87,16 +87,17 @@ _ASYMPTOTIC_COEF = np.array([(-1.0) ** k * math.factorial(k) for k in range(8)])
 _ASYMPTOTIC_SLOPE_COEF = -np.arange(8) * _ASYMPTOTIC_COEF
 # Power series E1(z) + ln z = -gamma + sum_k (-1)^(k+1) z^k / (k k!): all 19
 # coefficients for complex |z| < 1 (truncation below 5e-19), the first 8 for
-# real z < _BAND_Z (below 3e-19).
+# real z < _BAND_Z (below 1e-21).
 _SERIES_COEF = [-0.5772156649015329] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 19)]
 _BAND_Z = 0.01
-# Real z in [_BAND_Z, _ASYMPTOTIC_Z): 36 bands of width w in ln z, centred
-# on c_i. Band i holds z h(z) as a polynomial in t = ln(z s_i), with
-# s_i = _NEAR_SCALE[1 + i] ~ e^(-c_i), in ascending powers: the product
-# rounds less than ln z - c_i would. Fitted at mp.dps = 40 by
+# Real z in [_BAND_Z, _ASYMPTOTIC_Z): 36 bands of width w = _BAND_WIDTH in
+# ln z, centred on c_i. Band i holds z h(z) as a polynomial in
+# t = ln(z s_i), with s_i = _NEAR_SCALE[1 + i] ~ e^(-c_i), in ascending
+# powers: the product rounds less than ln z - c_i would. Fitted at
+# mp.dps = 40 by
 #     mp.chebyfit(lambda t: z * mp.exp(z) * mp.e1(z), [-w/2, w/2], 10)
-# with z = mp.exp(t) / s_i; the fit error is below 4.6e-18 relative in every
-# band. The bands take over from the series well below z = 1, where the
+# with z = mp.exp(t) / s_i for the float s_i; the fit error is below 4.6e-18
+# relative in every band. The bands take over from the series well below z = 1, where the
 # series would need 19 terms and cancel against gamma, and they cost fewer
 # numpy calls per batch.
 _N_BANDS = 36
@@ -338,12 +339,12 @@ def _h_polynomial(z, branch, table):
     branch indexes _NEAR_EDGES for real z.
     """
     x = np.log(z * _NEAR_SCALE[branch])
-    series = branch == 0
-    has_series = series.any()
+    has_series = not branch.all()
     if has_series:
+        series = branch == 0
         log_z = x.copy()
         np.copyto(x, z, where=series)
-    coef = table[:, branch]
+    coef = table.take(branch, axis=1)  # C order, unlike table[:, branch]
     acc = coef[0] * x
     for c in coef[1:-1]:
         acc += c
