@@ -279,9 +279,10 @@ def _h(z, slopes=False):
         h = _h_complex(z_near)
     else:
         h = _h_polynomial(z_near, _NEAR_EDGES.searchsorted(z_near, side="right"), _NEAR_COEF)
-    parts = (h, z_near * h - 1.0) if slopes else (h,)
+    parts = (h,)
     if slopes:
-        parts += (z_near * (h + parts[1]),)
+        zh1 = z_near * h - 1.0
+        parts = (h, zh1, z_near * (h + zh1))
     if n_near == near.size:
         return parts if slopes else h
     # The asymptotic series on every element, with the near ones moved to
