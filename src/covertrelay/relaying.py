@@ -69,13 +69,19 @@ def amplification_gain2(params: SystemParams, scheme: SchemeConfig, g_ar):
 
 
 def _check_eta1(params: SystemParams, eta1):
-    eta1 = np.asarray(eta1)
-    if (eta1 < params.eta0).any():
+    if isinstance(eta1, float) and isinstance(params.eta0, float) and isinstance(params.eta_u, float):
+        # One-point calls compare floats: ndarray.any() goes through a
+        # Python-level wrapper that costs microseconds per call.
+        low, high = eta1 < params.eta0, eta1 > params.eta_u
+    else:
+        eta1 = np.asarray(eta1)
+        low, high = (eta1 < params.eta0).any(), (eta1 > params.eta_u).any()
+    if low:
         raise ValueError(
             f"eta1 must be >= eta0 (covert power would be negative): "
             f"eta1={eta1}, eta0={params.eta0}"
         )
-    if (eta1 > params.eta_u).any():
+    if high:
         raise ValueError(f"eta1={eta1} exceeds the hardware bound eta_u={params.eta_u}")
 
 

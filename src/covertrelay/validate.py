@@ -48,14 +48,22 @@ def _check(name: str, measured: float, tolerance: float) -> CheckResult:
 def _ks_distance(draws: np.ndarray, cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance of draws from a continuous CDF.
 
-    Sorts draws in place. The arithmetic is scipy.stats.kstest's, so the
-    statistic is bit-identical, but no p-value is computed: the checks only
-    compare the distance with a tolerance.
+    Sorts draws in place, then evaluates cdf, i/n - c and c - (i-1)/n on
+    consecutive blocks of the sorted draws and keeps a running maximum, so
+    no full-size temporary is allocated. cdf must act elementwise. The
+    arithmetic per element is scipy.stats.kstest's and a maximum does not
+    depend on how its values are grouped, so the statistic is bit-identical,
+    but no p-value is computed: the checks only compare the distance with a
+    tolerance.
     """
     draws.sort()
-    c = cdf(draws)
     n = draws.size
-    return float(max(np.max(np.arange(1.0, n + 1) / n - c), np.max(c - np.arange(0.0, n) / n)))
+    d = -np.inf
+    for start in range(0, n, montecarlo._BLOCK):
+        c = cdf(draws[start:start + montecarlo._BLOCK])
+        i = np.arange(start + 1.0, start + c.size + 1.0)
+        d = max(d, np.max(i / n - c), np.max(c - (i - 1.0) / n))
+    return float(d)
 
 
 def _proportion_halfwidth(successes, n: int):

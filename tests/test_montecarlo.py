@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from covertrelay import (
+    ChannelDraw,
     SchemeConfig,
     average_covert_rate,
+    covert_snr,
     false_alarm,
     miss_detection,
     optimal_threshold,
@@ -24,6 +28,10 @@ XI_STAR_4_7 = 0.8973990224044965
 # checks from streams 3/4, whatever the scheme.
 POINT_STREAMS = (montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1)
 GRID_STREAMS = (montecarlo.STREAM_DETECTION_PS_H0, montecarlo.STREAM_DETECTION_PS_H1)
+
+# Draw counts around the streaming block size, plus one 10^6 run.
+B = montecarlo._BLOCK
+BLOCK_EDGE_SIZES = [1, B - 1, B, B + 1, 3 * B + 7, 10**6]
 
 
 def test_statistic_noise_floor(params, ts):
@@ -119,6 +127,76 @@ def test_detection_curve_matches_pointwise(params, ts):
     se = np.sqrt(np.maximum(a_true * (1 - a_true), b_true * (1 - b_true)) / n) + 1.0 / n
     assert np.all(np.abs(a_curve - a_true) <= 4 * se)
     assert np.all(np.abs(b_curve - b_true) <= 4 * se)
+
+
+def _one_shot_detection_curve(params, scheme, eta1, taus, n_blocks, seed, streams):
+    # Reference: the whole draw set at once and one global sort per hypothesis.
+    g0 = substream(seed, streams[0]).exponential(params.lambda_ar, n_blocks)
+    g1 = substream(seed, streams[1]).exponential(params.lambda_ar, n_blocks)
+    t0 = sufficient_statistic(params, scheme, params.eta0, g0)
+    t1 = sufficient_statistic(params, scheme, eta1, g1)
+    t0.sort()
+    t1.sort()
+    alpha_hat = 1.0 - np.searchsorted(t0, taus, side="left") / n_blocks
+    beta_hat = np.searchsorted(t1, taus, side="left") / n_blocks
+    return alpha_hat, beta_hat
+
+
+def _one_shot_covert_rate(params, scheme, eta1, n_blocks, seed):
+    # Reference: all g_ar, then all g_rb, and one full-size evaluation.
+    rng = substream(seed, montecarlo.STREAM_RATE)
+    draw = ChannelDraw(
+        g_ar=rng.exponential(params.lambda_ar, n_blocks),
+        g_rb=rng.exponential(params.lambda_rb, n_blocks),
+    )
+    values = np.log2(1.0 + covert_snr(params, scheme, eta1, draw))
+    half = montecarlo.Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks) if n_blocks > 1 else np.nan
+    return float(np.mean(values)), half
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_detection_curve_bit_identical_to_one_shot(params, ts, ps, n):
+    # Unsorted thresholds, one below the noise floor and one repeated.
+    tau_star = optimal_threshold(params, ts, 0.7)
+    taus = np.concatenate([params.sigma2_a + np.geomspace(1e3, 1e-6, 40) * (tau_star - params.sigma2_a),
+                           [0.5 * params.sigma2_a, tau_star, tau_star]])
+    for scheme in (ts, ps):
+        got = detection_curve(params, scheme, 0.7, taus, n, seed=n, streams=POINT_STREAMS)
+        want = _one_shot_detection_curve(params, scheme, 0.7, taus, n, n, POINT_STREAMS)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_simulate_covert_rate_bit_identical_to_one_shot(params, ts, ps, n):
+    for scheme in (ts, ps):
+        rep = simulate_covert_rate(params, scheme, 0.7, n, seed=n)
+        c_hat, half = _one_shot_covert_rate(params, scheme, 0.7, n, n)
+        assert rep.c_hat == c_hat
+        if n > 1:
+            assert rep.ci_halfwidth == half
+        else:
+            assert np.isnan(rep.ci_halfwidth)
+
+
+@pytest.mark.parametrize("kernel,limit_mib", [("detection_curve", 4), ("simulate_covert_rate", 32)])
+def test_streamed_kernels_stay_small(params, ts, kernel, limit_mib):
+    # At 10^6 blocks a single full-size float64 temporary is 7.6 MiB.
+    tau_star = optimal_threshold(params, ts, 0.7)
+    taus = params.sigma2_a + np.geomspace(1e-9, 1e3, 202) * (tau_star - params.sigma2_a)
+    run = {
+        "detection_curve": lambda: detection_curve(params, ts, 0.7, taus, 10**6, seed=20, streams=POINT_STREAMS),
+        "simulate_covert_rate": lambda: simulate_covert_rate(params, ts, 0.7, 10**6, seed=20),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_simulate_covert_rate_zero_without_surplus(params, ts):

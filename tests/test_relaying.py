@@ -82,10 +82,17 @@ def test_allocate_powers_no_surplus(unit_params, ts):
 
 
 def test_allocate_powers_domain_errors(unit_params, ts):
-    with pytest.raises(ValueError):
-        allocate_powers(unit_params, ts, unit_params.eta0 - 0.01, UNIT_DRAW)
-    with pytest.raises(ValueError):
-        allocate_powers(unit_params, ts, unit_params.eta_u + 0.01, UNIT_DRAW)
+    below, above = unit_params.eta0 - 0.01, unit_params.eta_u + 0.01
+    inside = 0.5 * (unit_params.eta0 + unit_params.eta_u)
+    for eta1, message in (
+        (below, "must be >= eta0"),
+        (above, "exceeds the hardware bound"),
+        # Arrays with a single element out of range.
+        (np.array([inside, below, inside]), "must be >= eta0"),
+        (np.array([inside, inside, above]), "exceeds the hardware bound"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            allocate_powers(unit_params, ts, eta1, UNIT_DRAW)
 
 
 def test_snr_h0_examples(unit_params, ts):

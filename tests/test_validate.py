@@ -87,6 +87,29 @@ def test_ks_distance_hand_computed(draws, expected):
     assert list(x) == sorted(draws)  # sorted in place
 
 
+def _one_shot_ks_distance(draws, cdf):
+    # Reference: the CDF and both one-sided distances over the whole array.
+    draws = np.sort(draws)
+    c = cdf(draws)
+    n = draws.size
+    return float(max(np.max(np.arange(1.0, n + 1) / n - c), np.max(c - np.arange(0.0, n) / n)))
+
+
+B = montecarlo._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 10**6])
+def test_ks_distance_bit_identical_to_one_shot(params, n):
+    # Both CDFs validate tests against: the H0 statistic's and the channel gain's.
+    g = montecarlo.substream(n, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, n)
+    cases = [(montecarlo.sufficient_statistic(params, scheme, params.eta0, g),
+              lambda x, scheme=scheme: 1.0 - detection.false_alarm(params, scheme, x))
+             for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5))]
+    cases.append((g, lambda x: -np.expm1(-x / params.lambda_ar)))
+    for draws, cdf in cases:
+        assert _ks_distance(draws.copy(), cdf) == _one_shot_ks_distance(draws, cdf)
+
+
 def test_ks_checks_equal_scipy_kstest(results):
     """The KS distances are scipy's kstest statistic on validate's own draws.
 
