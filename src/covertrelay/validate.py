@@ -66,6 +66,21 @@ def _ks_distance(draws: np.ndarray, cdf) -> float:
     return float(d)
 
 
+def _statistic_ks_distance(params: SystemParams, scheme: SchemeConfig, seed: int) -> float:
+    """KS distance of KS_DRAWS H0 statistics, on the scheme's own stream, from their CDF.
+
+    Each block of the drawn gains is overwritten by its statistic, so the
+    job holds one 10^6-element array; the statistic acts elementwise, so the
+    values are those of one full-size evaluation.
+    """
+    stream = montecarlo.STREAM_KS_STATISTIC_TS if scheme.variant == TS else montecarlo.STREAM_KS_STATISTIC_PS
+    t = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
+    for start in range(0, KS_DRAWS, montecarlo._BLOCK):
+        block = t[start:start + montecarlo._BLOCK]
+        block[...] = montecarlo.sufficient_statistic(params, scheme, params.eta0, block)
+    return _ks_distance(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x))
+
+
 def _proportion_halfwidth(successes, n: int):
     # Agresti-Coull 95% half-width; broadcasts over success counts and stays
     # positive even at empirical rates of exactly 0 or 1.
@@ -110,14 +125,27 @@ def run_validation(
     perturb != 0 scales the closed-form detection quantities under test and
     is expected to make the suite fail (harness self-test).
     """
+    schemes = (SchemeConfig(TS, fraction_ts), SchemeConfig(PS, fraction_ps))
+    eta1_mid = 0.5 * (params.eta0 + params.eta_u)
+
+    # The five 10^6-draw jobs run first, in two lanes (montecarlo._run_pair),
+    # each on its own stream; the checks below only read their results.
+    def rate_and_channel_lane():
+        reps = [montecarlo.simulate_covert_rate(params, s, eta1_mid, mc_blocks, seed) for s in schemes]
+        samples = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
+        return reps, _ks_distance(samples, lambda g: -np.expm1(-g / params.lambda_ar))
+
+    def statistic_lane():
+        return [_statistic_ks_distance(params, s, seed) for s in schemes]
+
+    (rate_reps, channel_ks), statistic_ks = montecarlo._run_pair(rate_and_channel_lane, statistic_lane)
+
     results: list[CheckResult] = []
     rng = montecarlo.substream(seed, montecarlo.STREAM_POWER_ALGEBRA)
     skew = 1.0 + perturb
-
-    eta1_mid = 0.5 * (params.eta0 + params.eta_u)
     xi_min = []  # unperturbed minimum error per scheme
 
-    for scheme in (SchemeConfig(TS, fraction_ts), SchemeConfig(PS, fraction_ps)):
+    for scheme, rep, ks in zip(schemes, rate_reps, statistic_ks):
         tag = scheme.variant
 
         # Power algebra over random (draw, eta1) tuples.
@@ -178,14 +206,9 @@ def run_validation(
         # Rate quadrature against Monte Carlo.
         rate = rates.average_covert_rate(params, scheme, eta1_mid)
         results.append(_check(f"quad-convergence-{tag}", rate.quad_error, rates.QUAD_ERROR_LIMIT))
-        rep = montecarlo.simulate_covert_rate(params, scheme, eta1_mid, mc_blocks, seed)
         results.append(_check(f"rate-quad-vs-mc-{tag}", abs(rate.c_avg - rep.c_hat) / rate.c_avg, 0.02))
 
         # Empirical CDF of the received-power statistic under H0.
-        stream = montecarlo.STREAM_KS_STATISTIC_TS if tag == TS else montecarlo.STREAM_KS_STATISTIC_PS
-        g = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
-        t_draws = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
-        ks = _ks_distance(t_draws, lambda t: 1.0 - detection.false_alarm(params, scheme, t))
         results.append(_check(f"statistic-cdf-ks-{tag}", ks, KS_TOL_STATISTIC))
 
         # Threshold optimality on a grid, empirical side (the closed-form
@@ -205,9 +228,7 @@ def run_validation(
     identity = abs(budget - (1.0 - detection.min_detection_error(params.eta0 / params.eta_u)))
     results.append(_check("budget-identity", identity, 1e-12))
 
-    samples = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
-    ks = _ks_distance(samples, lambda g: -np.expm1(-g / params.lambda_ar))
-    results.append(_check("channel-ks", ks, KS_TOL_CHANNEL))
+    results.append(_check("channel-ks", channel_ks, KS_TOL_CHANNEL))
 
     return results
 

@@ -168,11 +168,15 @@ def test_seed_and_mc_blocks_are_ignored_without_monte_carlo(capsys, argv):
     assert capsys.readouterr().out == first
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """scipy modules loaded by running code in a fresh interpreter."""
+def _scipy(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.partition(".")[0] == "scipy"]
+
+
+def _modules_after(code: str) -> list[str]:
+    """Modules loaded by running code in a fresh interpreter."""
     src = str(pathlib.Path(covertrelay.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -186,14 +190,18 @@ def test_empty_sweep_is_a_usage_error(capsys, fraction):
 def test_cli_import_loads_no_scipy():
     """No CLI command loads scipy: importing the CLI, and each subcommand run
     in a fresh interpreter (scipy is a test-only oracle)."""
-    assert _scipy_modules_after("import covertrelay.cli") == []
+    loaded = _modules_after("import covertrelay.cli")
+    assert _scipy(loaded) == []
+    # concurrent.futures would add about 8 ms to every command's start-up;
+    # the Monte Carlo kernels' worker is a plain threading.Thread.
+    assert "concurrent.futures" not in loaded
     for argv in (["fig2"], ["fig3"], ["fig4"], ["fig5"], ["fig6"],
                  ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "auto"],
                  ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "0.5"],
                  ["validate", "--seed", "1"],
                  ["config-template"]):
-        loaded = _scipy_modules_after(
+        loaded = _modules_after(
             "import contextlib, io, covertrelay.cli as cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0"
         )
-        assert loaded == [], argv
+        assert _scipy(loaded) == [], argv

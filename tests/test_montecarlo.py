@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,8 @@ from covertrelay import (
 from covertrelay.detection import statistic_scale
 from covertrelay import montecarlo
 from covertrelay.montecarlo import detection_curve, substream
-from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth
+from covertrelay.experiments import csv_bytes, run_fig2
+from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
 from conftest import random_params
 
@@ -197,6 +200,45 @@ def test_streamed_kernels_stay_small(params, ts, kernel, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 10**5])
+def test_thread_count_cannot_change_results(params, monkeypatch, n):
+    # One usable CPU runs every job pair in order; two run each pair at once.
+    def run(cpus):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        return csv_bytes(run_fig2(params, mc_blocks=n, seed=n)), run_validation(params, seed=n, mc_blocks=n)
+
+    assert run(1) == run(2)
+
+
+class JobError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_run_pair_joins_the_worker_and_raises_the_job_error(monkeypatch, failing):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    error = JobError(failing)
+    threads = {}
+
+    def job(name):
+        def run():
+            threads[name] = threading.current_thread()
+            if name == failing:
+                raise error
+            time.sleep(0.05)  # still running when the other job fails
+            return name
+        return run
+
+    before = threading.active_count()
+    with pytest.raises(JobError) as caught:
+        montecarlo._run_pair(job("first"), job("second"))
+    assert caught.value is error
+    assert threading.active_count() == before
+    assert threads["first"] is threading.current_thread()
+    assert threads["second"] is not threading.current_thread()
+    assert not threads["second"].is_alive()
 
 
 def test_simulate_covert_rate_zero_without_surplus(params, ts):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -108,6 +110,20 @@ def test_ks_distance_bit_identical_to_one_shot(params, n):
     cases.append((g, lambda x: -np.expm1(-x / params.lambda_ar)))
     for draws, cdf in cases:
         assert _ks_distance(draws.copy(), cdf) == _one_shot_ks_distance(draws, cdf)
+
+
+def test_validation_stays_small():
+    # At most two 10^6-draw jobs are in flight, and a statistic KS job holds
+    # one 7.6 MiB array: its statistic overwrites its gains.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_validation(default_params())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 2**20
 
 
 def test_ks_checks_equal_scipy_kstest(results):
