@@ -191,7 +191,12 @@ def simulate_covert_rate(
         np.log2(snr, out=g_ar)
     c_hat = float(np.mean(values))
     if n_blocks > 1:
-        half = Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks)
+        # np.std(values, ddof=1) step by step, in place: the values are not
+        # needed once their mean is known, so no second full-size array is
+        # allocated. The operations, and so the bits, are np.std's.
+        values -= c_hat
+        values *= values
+        half = Z95 * float(np.sqrt(np.sum(values) / (n_blocks - 1))) / np.sqrt(n_blocks)
     else:
         half = float("nan")
     return SimulationReport(c_hat=c_hat, ci_halfwidth=half)
