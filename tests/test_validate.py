@@ -112,9 +112,11 @@ def test_ks_distance_bit_identical_to_one_shot(params, n):
         assert _ks_distance(draws.copy(), cdf) == _one_shot_ks_distance(draws, cdf)
 
 
-def test_validation_stays_small():
-    # At most two 10^6-draw jobs are in flight, and a statistic KS job holds
-    # one 7.6 MiB array: its statistic overwrites its gains.
+def test_validation_stays_small(monkeypatch):
+    # Two 10^6-draw jobs in flight, each holding one 7.6 MiB array plus a
+    # block's temporaries: a statistic KS job overwrites its gains with the
+    # statistic, and a rate job takes its standard deviation in place.
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
