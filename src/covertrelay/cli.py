@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import experiments, validate
+import numpy as np
+
+from . import experiments, montecarlo, validate
 from .params import ConfigError, config_template, default_params, load_config
 
 EXIT_OK = 0
@@ -18,7 +20,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SEED = 20240
-DEFAULT_MC_BLOCKS = 10**6
 
 
 def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carlo: bool = True) -> None:
@@ -32,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carl
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed" + ignored)
     parser.add_argument(
-        "--mc-blocks", type=int, default=DEFAULT_MC_BLOCKS, metavar="N",
+        "--mc-blocks", type=int, default=montecarlo.MC_BLOCKS, metavar="N",
         help="Monte Carlo fading blocks per estimate" + ignored,
     )
     if scheme:
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p2)
     p2.add_argument("--eta1", type=float, default=experiments.FIG2_ETA1,
                     help="upgraded conversion efficiency under the covert hypothesis")
-    p2.add_argument("--n-tau", type=int, default=201, help="threshold grid size")
+    p2.add_argument("--n-tau", type=int, default=experiments.FIG2_N_TAU, help="threshold grid size")
 
     p3 = sub.add_parser("fig3", help="max effective covert rate vs source power")
     _add_common(p3, monte_carlo=False)
@@ -88,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run the closed-form cross-validation suite")
     _add_common(pv, scheme=False)
     pv.add_argument("--fraction", default=None, metavar="X|auto",
-                    help="harvesting fraction used by scheme-specific checks (default 0.5)")
+                    help="harvesting fraction used by scheme-specific checks "
+                         f"(default {validate.DEFAULT_FRACTION})")
     pv.add_argument("--self-test", action="store_true",
                     help="inject a deliberate closed-form perturbation; the suite must fail")
 
@@ -144,18 +146,15 @@ def main(argv=None) -> int:
                 values = [float(v) for v in args.values.split(",")]
             else:
                 start, stop, num = args.linspace
-                import numpy as np
-
                 values = list(np.linspace(float(start), float(stop), int(num)))
             rows = experiments.run_sweep(
                 params, args.param, values, fraction=fraction, scheme_selector=scheme,
             )
         elif args.command == "validate":
-            f = 0.5 if fraction == "auto" else float(fraction)
+            f = validate.DEFAULT_FRACTION if fraction == "auto" else float(fraction)
             perturb = 0.05 if args.self_test else 0.0
             results = validate.run_validation(
-                params, seed=args.seed, mc_blocks=args.mc_blocks,
-                fraction_ts=f, fraction_ps=f, perturb=perturb,
+                params, seed=args.seed, mc_blocks=args.mc_blocks, fraction=f, perturb=perturb,
             )
             _write(validate.format_report(results) + "\n", args.out)
             return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION

@@ -28,9 +28,8 @@ _NEAR_ONE = 1e-8
 
 @dataclass(frozen=True)
 class DetectionPoint:
-    """Detector performance at one threshold: tau [W], alpha, beta, xi."""
+    """Detector performance at the given threshold(s): alpha, beta, xi."""
 
-    tau: float | np.ndarray
     alpha: float | np.ndarray
     beta: float | np.ndarray
     xi: float | np.ndarray
@@ -86,7 +85,7 @@ def detection_error(params: SystemParams, scheme: SchemeConfig, eta1: float, tau
     """Detection error xi = alpha + beta at the given threshold(s)."""
     alpha = false_alarm(params, scheme, tau)
     beta = miss_detection(params, scheme, eta1, tau)
-    return DetectionPoint(tau=tau, alpha=alpha, beta=beta, xi=alpha + beta)
+    return DetectionPoint(alpha=alpha, beta=beta, xi=alpha + beta)
 
 
 def optimal_threshold(params: SystemParams, scheme: SchemeConfig, eta1: float) -> float:

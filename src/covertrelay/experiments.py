@@ -11,10 +11,12 @@ harvesting fractions behind them are unstated; the recipes default to
 fraction='auto', which pins each point's fraction to the value maximizing
 the no-covert forwarded rate.
 
-fig3, fig4 and fig6 build their point list first and then make one
-fraction search and one covert-rate call per scheme over all of it
-(rates' lane-batched functions); sweep batches its fraction search but
-evaluates rates point by point.
+Figs 3-6 run the paper's fixed grids (the FIG* constants below: source
+power, eta0 at two covertness targets, relay position); sweep is the one
+way to evaluate any other grid. fig3, fig4 and fig6 build their point list
+first and then make one fraction search and one covert-rate call per
+scheme over all of it (rates' lane-batched functions); sweep batches its
+fraction search but evaluates rates point by point.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import io
 
 import numpy as np
 
-from . import detection, montecarlo, rates
+from . import detection, montecarlo, rates, relaying
 from .params import CONFIG_FIELDS, PS, TS, SchemeConfig, SystemParams, dbm_to_watts
 
 FLOAT_DIGITS = 12  # significant digits in CSV float fields
 
 FIG2_ETA1 = 0.7
+FIG2_N_TAU = 201
 FIG3_PA_DBM = tuple(np.linspace(-10.0, 32.0, 15))
 FIG3_ETA0 = (0.2, 0.4)
 FIG4_GRID_POINTS = 200
@@ -111,8 +114,8 @@ def run_fig2(
     params: SystemParams,
     fraction="auto",
     eta1: float = FIG2_ETA1,
-    n_tau: int = 201,
-    mc_blocks: int = 10**6,
+    n_tau: int = FIG2_N_TAU,
+    mc_blocks: int = montecarlo.MC_BLOCKS,
     seed: int = 0,
     scheme_selector: str = "both",
 ) -> list[dict]:
@@ -129,6 +132,7 @@ def run_fig2(
         for v in scheme_variants(scheme_selector)
     ]
     deltas = [detection.optimal_threshold(params, s, eta1) - params.sigma2_a for s in schemes]
+    relaying._check_eta1(params, eta1)  # optimal_threshold rejects eta1 <= eta0, this eta1 > eta_u
     lo = 0.5 * params.sigma2_a  # below the noise floor, where xi = 1
     hi = params.sigma2_a + 1e3 * max(deltas)
     tau_grid = np.geomspace(lo, hi, n_tau)
@@ -163,56 +167,36 @@ def run_fig2(
     return rows
 
 
-def run_fig3(
-    params: SystemParams,
-    fraction="auto",
-    pa_dbm_values=FIG3_PA_DBM,
-    eta0_values=FIG3_ETA0,
-    scheme_selector: str = "both",
-) -> list[dict]:
+def run_fig3(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
     """Maximum effective covert rate versus source power, per scheme and eta0."""
-    grid = [(eta0, pa_dbm) for eta0 in eta0_values for pa_dbm in pa_dbm_values]
+    grid = [(eta0, pa_dbm) for eta0 in FIG3_ETA0 for pa_dbm in FIG3_PA_DBM]
     points = [params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0) for eta0, pa_dbm in grid]
     extras = [{"pa_dbm": float(pa_dbm)} for _, pa_dbm in grid]
     return _rate_rows(points, extras, fraction, scheme_selector)
 
 
-def fig4_eta0_grid(eta_u: float, n: int = FIG4_GRID_POINTS) -> np.ndarray:
+def fig4_eta0_grid(eta_u: float) -> np.ndarray:
     """eta0 grid approaching both limits where the covert rate vanishes."""
-    return np.linspace(1e-6, eta_u - 1e-6, n)
+    return np.linspace(1e-6, eta_u - 1e-6, FIG4_GRID_POINTS)
 
 
-def run_fig4(
-    params: SystemParams,
-    fraction="auto",
-    eta0_values=None,
-    epsilons=FIG4_EPSILONS,
-    scheme_selector: str = "both",
-) -> list[dict]:
+def run_fig4(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
     """Maximum effective covert rate versus eta0 for a set of covertness targets."""
-    if eta0_values is None:
-        eta0_values = fig4_eta0_grid(params.eta_u)
     points, extras = [], []
-    for epsilon in epsilons:
+    for epsilon in FIG4_EPSILONS:
         eta0_dagger = detection.solve_phi_epsilon(epsilon) * params.eta_u
-        for eta0 in eta0_values:
+        for eta0 in fig4_eta0_grid(params.eta_u):
             points.append(params.with_updates(eta0=float(eta0), epsilon=float(epsilon)))
             extras.append({"eta0_dagger": eta0_dagger})
     return _rate_rows(points, extras, fraction, scheme_selector)
 
 
-def run_fig5(
-    params: SystemParams,
-    eta0_values=None,
-    epsilons=FIG4_EPSILONS,
-) -> list[dict]:
+def run_fig5(params: SystemParams) -> list[dict]:
     """Realized efficiency ratio eta0/eta1* versus eta0 (scheme-independent)."""
-    if eta0_values is None:
-        eta0_values = fig4_eta0_grid(params.eta_u)
     rows = []
-    for epsilon in epsilons:
+    for epsilon in FIG4_EPSILONS:
         phi_eps = detection.solve_phi_epsilon(epsilon)
-        for eta0 in eta0_values:
+        for eta0 in fig4_eta0_grid(params.eta_u):
             point = params.with_updates(eta0=float(eta0), epsilon=float(epsilon))
             eta1_star, binding = rates.optimal_eta1(point)
             rows.append({
@@ -227,21 +211,14 @@ def run_fig5(
     return rows
 
 
-def run_fig6(
-    params: SystemParams,
-    fraction="auto",
-    d_ar_values=FIG6_D_AR,
-    pa_dbm_values=FIG6_PA_DBM,
-    total_distance: float = FIG6_TOTAL_DISTANCE,
-    scheme_selector: str = "both",
-) -> list[dict]:
+def run_fig6(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
     """Maximum effective covert rate versus relay placement on a fixed path."""
-    grid = [(pa_dbm, d_ar) for pa_dbm in pa_dbm_values for d_ar in d_ar_values]
+    grid = [(pa_dbm, d_ar) for pa_dbm in FIG6_PA_DBM for d_ar in FIG6_D_AR]
     points = [
-        params.with_updates(Pa=dbm_to_watts(pa_dbm), d_ar=float(d_ar), d_rb=float(total_distance - d_ar))
+        params.with_updates(Pa=dbm_to_watts(pa_dbm), d_ar=float(d_ar), d_rb=float(FIG6_TOTAL_DISTANCE - d_ar))
         for pa_dbm, d_ar in grid
     ]
-    extras = [{"pa_dbm": float(pa_dbm), "total_distance_m": total_distance} for pa_dbm, _ in grid]
+    extras = [{"pa_dbm": float(pa_dbm), "total_distance_m": FIG6_TOTAL_DISTANCE} for pa_dbm, _ in grid]
     return _rate_rows(points, extras, fraction, scheme_selector)
 
 
@@ -299,20 +276,13 @@ def _format_float(value) -> str:
     return format(value, _FLOAT_SPEC)
 
 
-# Exact-type dispatch for the cell types the recipes emit; bool is not int
-# here, so it falls through to the chain below.
-_CELL_FORMATS = {float: _format_float, np.float64: _format_float, int: str, str: str}
+# Exact-type dispatch for the cell types the recipes emit (float, np.float64,
+# int, str); anything else is written with str.
+_CELL_FORMATS = {float: _format_float, np.float64: _format_float}
 
 
 def _format_value(value) -> str:
-    fmt = _CELL_FORMATS.get(type(value))
-    if fmt is not None:
-        return fmt(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
-    return str(value)
+    return _CELL_FORMATS.get(type(value), str)(value)
 
 
 def write_csv(fileobj, rows: list[dict]) -> None:

@@ -64,6 +64,8 @@ STREAM_FIG2_PS_H0 = 12
 STREAM_FIG2_PS_H1 = 13
 STREAM_POWER_ALGEBRA = 999
 
+MC_BLOCKS = 10**6  # default fading blocks per estimate (fig2, validate, --mc-blocks)
+
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _BLOCK = 1 << 16  # draws per streamed block: 512 KiB of float64, an L2-sized chunk

@@ -138,14 +138,6 @@ class SchemeConfig:
         if not (0 < self.fraction < 1):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
 
-    @classmethod
-    def ts(cls, phi: float) -> "SchemeConfig":
-        return cls(TS, phi)
-
-    @classmethod
-    def ps(cls, rho: float) -> "SchemeConfig":
-        return cls(PS, rho)
-
 
 @dataclass(frozen=True)
 class ChannelDraw:

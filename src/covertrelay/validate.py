@@ -17,6 +17,7 @@ import numpy as np
 from . import detection, montecarlo, rates, relaying
 from .params import PS, TS, ChannelDraw, SchemeConfig, SystemParams
 
+DEFAULT_FRACTION = 0.5  # harvesting fraction of both schemes' checks
 KS_DRAWS = 10**6
 KS_TOL_STATISTIC = 0.003
 
@@ -115,9 +116,8 @@ def __getattr__(name: str):
 def run_validation(
     params: SystemParams,
     seed: int = 0,
-    mc_blocks: int = 10**6,
-    fraction_ts: float = 0.5,
-    fraction_ps: float = 0.5,
+    mc_blocks: int = montecarlo.MC_BLOCKS,
+    fraction: float = DEFAULT_FRACTION,
     perturb: float = 0.0,
 ) -> list[CheckResult]:
     """Run every cross-check; returns one CheckResult per check.
@@ -125,7 +125,7 @@ def run_validation(
     perturb != 0 scales the closed-form detection quantities under test and
     is expected to make the suite fail (harness self-test).
     """
-    schemes = (SchemeConfig(TS, fraction_ts), SchemeConfig(PS, fraction_ps))
+    schemes = (SchemeConfig(TS, fraction), SchemeConfig(PS, fraction))
     eta1_mid = 0.5 * (params.eta0 + params.eta_u)
 
     # The five 10^6-draw jobs run first, in two lanes (montecarlo._run_pair),

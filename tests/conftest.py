@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covertrelay import SchemeConfig, SystemParams, default_params
+from covertrelay.params import PS, TS
 
 
 @pytest.fixture
@@ -29,12 +30,12 @@ def unit_params() -> SystemParams:
 
 @pytest.fixture
 def ts() -> SchemeConfig:
-    return SchemeConfig.ts(0.5)
+    return SchemeConfig(TS, 0.5)
 
 
 @pytest.fixture
 def ps() -> SchemeConfig:
-    return SchemeConfig.ps(0.5)
+    return SchemeConfig(PS, 0.5)
 
 
 def random_params(rng: np.random.Generator, base: SystemParams) -> SystemParams:

@@ -29,7 +29,7 @@ from covertrelay import experiments as ex
 from covertrelay.cli import EXIT_OK, main
 from covertrelay.detection import statistic_scale
 from covertrelay.montecarlo import STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1, detection_curve
-from covertrelay.params import default_params
+from covertrelay.params import PS, TS, default_params
 from covertrelay.rates import BINDING_COVERTNESS, BINDING_HARVESTER
 
 from conftest import random_params
@@ -173,8 +173,8 @@ def test_criterion_6_efficiency_case_split():
 
     for epsilon in (0.1, 0.2):
         p = params.with_updates(epsilon=epsilon)
-        out_ts = max_effective_covert_rate(p, SchemeConfig.ts(0.5))
-        out_ps = max_effective_covert_rate(p, SchemeConfig.ps(0.5))
+        out_ts = max_effective_covert_rate(p, SchemeConfig(TS, 0.5))
+        out_ps = max_effective_covert_rate(p, SchemeConfig(PS, 0.5))
         assert abs(out_ts.eta1_star - out_ps.eta1_star) <= 1e-12
     _report(6, f"eps=0.1 -> eta1*={eta1:.6f} (covertness); eps=0.2 -> 0.8 (harvester-cap)",
             time.monotonic() - start)
@@ -186,10 +186,9 @@ def test_criterion_7_fig4_kink_and_limits():
 
     start = time.monotonic()
     params = default_params()
-    grid = ex.fig4_eta0_grid(params.eta_u, 200)
+    grid = ex.fig4_eta0_grid(params.eta_u)
     step = grid[1] - grid[0]
-    rows = ex.run_fig4(params, fraction=0.5, eta0_values=grid,
-                       epsilons=(0.1, 0.2), scheme_selector="both")
+    rows = ex.run_fig4(params, fraction=0.5, scheme_selector="both")
     for variant in ("ts", "ps"):
         for epsilon in (0.1, 0.2):
             sub = [r for r in rows if r["scheme"] == variant and r["epsilon"] == epsilon]
@@ -218,16 +217,14 @@ def test_criterion_8_qualitative_figure_shapes():
     start = time.monotonic()
     params = default_params()
 
-    rows3 = ex.run_fig3(params, fraction="auto",
-                        pa_dbm_values=tuple(np.linspace(-10, 32, 15)),
-                        eta0_values=(0.4,))
+    rows3 = [r for r in ex.run_fig3(params, fraction="auto") if r["eta0"] == 0.4]
     for variant in ("ts", "ps"):
         psi = [r["psi_star"] for r in rows3 if r["scheme"] == variant]
         assert all(b >= a for a, b in zip(psi, psi[1:])), "psi* must grow with source power"
     at20 = {r["scheme"]: r["psi_star"] for r in rows3 if r["pa_dbm"] == 20.0}
     assert at20["ps"] >= at20["ts"]
 
-    rows6 = ex.run_fig6(params, fraction="auto", pa_dbm_values=(20.0,))
+    rows6 = [r for r in ex.run_fig6(params, fraction="auto") if r["pa_dbm"] == 20.0]
     for variant in ("ts", "ps"):
         psi = [r["psi_star"] for r in rows6 if r["scheme"] == variant]
         i = int(np.argmin(psi))

@@ -78,6 +78,18 @@ def test_fig2_rejects_a_grid_below_two_thresholds(capsys, n_tau):
     assert captured.err == f"error: n_tau must be >= 2, got {n_tau}\n"
 
 
+@pytest.mark.parametrize("eta1,message", [
+    ("0.9", "eta1=0.9 exceeds the hardware bound eta_u=0.8"),
+    ("1.5", "eta1=1.5 exceeds the hardware bound eta_u=0.8"),
+    ("0.4", "optimal threshold undefined: eta1 must exceed eta0 (got eta1=0.4, eta0=0.4)"),
+])
+def test_fig2_rejects_eta1_outside_eta0_to_eta_u(capsys, eta1, message):
+    assert main(["fig2", "--eta1", eta1, "--fraction", "0.5", "--mc-blocks", "100"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_validate_rejects_zero_mc_blocks(capsys):
     assert main(["validate", "--mc-blocks", "0"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: n_blocks must be >= 1, got 0\n"
@@ -111,6 +123,23 @@ def test_validate_passes_and_self_test_fails(capsys):
                  "--self-test"]) == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+def test_validate_fraction_reaches_both_schemes(capsys):
+    # Compares output only: at small block counts a check can fail by chance.
+    def measured(fraction):
+        main(["validate", "--mc-blocks", "2000", "--seed", "3", "--fraction", fraction])
+        out = capsys.readouterr().out
+        return out, {line.split()[1]: line.split("measured=")[1].split()[0] for line in out.splitlines()[:-1]}
+
+    auto, _ = measured("auto")
+    half, at_half = measured("0.5")
+    _, at_other = measured("0.3")
+    assert auto == half
+    changed = {name for name in at_half if at_half[name] != at_other[name]}
+    assert any(name.endswith("-ts") for name in changed)
+    assert any(name.endswith("-ps") for name in changed)
+    assert not changed & {"xi-star-monotone", "budget-identity", "channel-ks"}
 
 
 def test_unknown_sweep_param_is_usage_error(capsys):

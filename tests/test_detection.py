@@ -14,6 +14,7 @@ from covertrelay import (
     solve_phi_epsilon,
 )
 from covertrelay.detection import statistic_scale
+from covertrelay.params import PS, TS
 
 # Frozen from the brute-force grid-minimization oracle below (10^6-point
 # log-spaced threshold grids with one refinement pass).
@@ -51,7 +52,7 @@ def test_false_alarm_piecewise(params, ts):
 def test_false_alarm_unit_scale(unit_params):
     # eta0 = 0.5 and phi = 0.5 make the H0 statistic scale exactly 1.
     p = unit_params.with_updates(eta0=0.5)
-    scheme = SchemeConfig.ts(0.5)
+    scheme = SchemeConfig(TS, 0.5)
     assert statistic_scale(p, scheme, p.eta0) == pytest.approx(1.0, rel=1e-12)
     tau = p.sigma2_a + 1.0
     assert false_alarm(p, scheme, tau) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -65,7 +66,7 @@ def test_miss_detection_piecewise(params, ts):
 
 def test_miss_detection_unit_scale(unit_params):
     p = unit_params.with_updates(eta0=0.25)
-    scheme = SchemeConfig.ts(0.5)
+    scheme = SchemeConfig(TS, 0.5)
     assert statistic_scale(p, scheme, 0.5) == pytest.approx(1.0, rel=1e-12)
     tau = p.sigma2_a + 1.0
     assert miss_detection(p, scheme, 0.5, tau) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
@@ -113,8 +114,8 @@ def test_optimal_threshold_scheme_substitution(params):
     # With rho = 2 phi / (1 - phi) the two thresholds coincide exactly.
     phi = 0.2
     rho = 2 * phi / (1 - phi)
-    t_ts = optimal_threshold(params, SchemeConfig.ts(phi), 0.7)
-    t_ps = optimal_threshold(params, SchemeConfig.ps(rho), 0.7)
+    t_ts = optimal_threshold(params, SchemeConfig(TS, phi), 0.7)
+    t_ps = optimal_threshold(params, SchemeConfig(PS, rho), 0.7)
     assert t_ts == pytest.approx(t_ps, rel=1e-12)
 
 

@@ -38,18 +38,16 @@ def test_fig2_rows(params):
 
 
 def test_fig3_rows(params):
-    rows = ex.run_fig3(
-        params, fraction=0.5, pa_dbm_values=(0.0, 20.0), eta0_values=(0.4,)
-    )
-    for pa in (0.0, 20.0):
+    rows = _by(ex.run_fig3(params, fraction=0.5), eta0=0.4)
+    for pa in ex.FIG3_PA_DBM:
         sub = _by(rows, pa_dbm=pa)
         assert {r["scheme"] for r in sub} == {"ts", "ps"}
     assert all(r["psi_star"] > 0 for r in rows)
 
 
 def test_fig4_rows_kink_and_limits(params):
-    grid = ex.fig4_eta0_grid(params.eta_u, 60)
-    rows = ex.run_fig4(params, fraction=0.5, eta0_values=grid, scheme_selector="ts")
+    grid = ex.fig4_eta0_grid(params.eta_u)
+    rows = ex.run_fig4(params, fraction=0.5, scheme_selector="ts")
     step = grid[1] - grid[0]
     for eps in ex.FIG4_EPSILONS:
         sub = _by(rows, epsilon=eps)
@@ -68,8 +66,7 @@ def test_fig4_rows_kink_and_limits(params):
 
 
 def test_fig5_rows(params):
-    grid = ex.fig4_eta0_grid(params.eta_u, 80)
-    rows = ex.run_fig5(params, eta0_values=grid, epsilons=(0.1,))
+    rows = _by(ex.run_fig5(params), epsilon=0.1)
     phi_eps = solve_phi_epsilon(0.1)
     for r in rows:
         if r["binding"] == "covertness":
@@ -80,7 +77,7 @@ def test_fig5_rows(params):
 
 
 def test_fig6_rows(params):
-    rows = ex.run_fig6(params, fraction=0.5, pa_dbm_values=(10.0, 20.0))
+    rows = ex.run_fig6(params, fraction=0.5)
     for r in rows:
         assert r["d_ar_m"] + r["d_rb_m"] == pytest.approx(20.0, abs=1e-12)
     for scheme in ("ts", "ps"):

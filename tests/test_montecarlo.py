@@ -21,6 +21,7 @@ from covertrelay.detection import statistic_scale
 from covertrelay import montecarlo
 from covertrelay.montecarlo import detection_curve, substream
 from covertrelay.experiments import csv_bytes, run_fig2
+from covertrelay.params import PS
 from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
 from conftest import random_params
@@ -286,7 +287,7 @@ def test_threshold_optimality_near_degenerate(params, ts):
 
 
 def test_threshold_optimality_extreme_split(params):
-    assert _optimal_on_threshold_grid(params, SchemeConfig.ps(0.9), 0.7, grid_size=10**3, seed=15)
+    assert _optimal_on_threshold_grid(params, SchemeConfig(PS, 0.9), 0.7, grid_size=10**3, seed=15)
 
 
 def test_simulation_report_rejects_empty(params, ts):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covertrelay import params as cp
+from covertrelay.params import PS, TS
 from covertrelay import (
     ChannelDraw,
     SchemeConfig,
@@ -51,13 +52,13 @@ def test_path_loss_domain_errors():
 
 
 def test_relay_noise_power_ts_sums():
-    assert relay_noise_power(SchemeConfig.ts(0.3), 1e-11, 1e-11) == pytest.approx(2e-11, rel=1e-12)
+    assert relay_noise_power(SchemeConfig(TS, 0.3), 1e-11, 1e-11) == pytest.approx(2e-11, rel=1e-12)
 
 
 def test_relay_noise_power_ps_limits():
-    near_one = SchemeConfig.ps(1.0 - 1e-12)
+    near_one = SchemeConfig(PS, 1.0 - 1e-12)
     assert relay_noise_power(near_one, 1e-11, 3e-12) == pytest.approx(3e-12, rel=1e-9)
-    near_zero = SchemeConfig.ps(1e-12)
+    near_zero = SchemeConfig(PS, 1e-12)
     assert relay_noise_power(near_zero, 1e-11, 3e-12) == pytest.approx(1.3e-11, rel=1e-9)
 
 
@@ -78,9 +79,9 @@ def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("xx", 0.5)
     with pytest.raises(ValueError):
-        SchemeConfig.ts(0.0)
+        SchemeConfig(TS, 0.0)
     with pytest.raises(ValueError):
-        SchemeConfig.ps(1.0)
+        SchemeConfig(PS, 1.0)
 
 
 def test_channel_draw_rejects_negative():

@@ -23,7 +23,7 @@ from covertrelay import (
 )
 from covertrelay import rates, relaying
 from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid
-from covertrelay.params import dbm_to_watts
+from covertrelay.params import PS, TS, dbm_to_watts
 from covertrelay.rates import (
     _ASYMPTOTIC_Z,
     _H_PAIR_INACCURATE_Z,
@@ -80,13 +80,13 @@ def test_average_rate_vanishing_downlink(params, ts):
 
 
 def test_effective_rate_prefactors(params):
-    ts = SchemeConfig.ts(0.5)
+    ts = SchemeConfig(TS, 0.5)
     rate = average_covert_rate(params, ts, 0.7)
     assert rate.psi == pytest.approx(0.25 * rate.c_avg, rel=1e-12)
-    ts2 = SchemeConfig.ts(0.2)
+    ts2 = SchemeConfig(TS, 0.2)
     rate = average_covert_rate(params, ts2, 0.7)
     assert rate.psi == pytest.approx(0.4 * rate.c_avg, rel=1e-12)
-    ps = SchemeConfig.ps(0.7)
+    ps = SchemeConfig(PS, 0.7)
     rate = average_covert_rate(params, ps, 0.7)
     assert rate.psi == pytest.approx(0.5 * rate.c_avg, rel=1e-12)
 
@@ -105,7 +105,7 @@ def test_extreme_split_corner_meets_budget(params):
     # turnover at g_ar ~ 2e-3, below the nodes of a Gauss-Laguerre rule.
     # Reference: nested adaptive quadrature of the allocation route
     # (covert_snr), independent of the closed-form inner expectation.
-    scheme = SchemeConfig.ps(0.9995)
+    scheme = SchemeConfig(PS, 0.9995)
     strong = params.with_updates(Pa=1.6)
     rate = average_covert_rate(strong, scheme, 0.7)
 
@@ -249,7 +249,7 @@ def test_optimize_harvest_fraction_local_optimum(params, variant):
 
 def test_ts_objective_vanishes_at_boundaries(params):
     def objective(f):
-        return (1.0 - f) / 2.0 * expected_rate_h0(params, SchemeConfig.ts(f))
+        return (1.0 - f) / 2.0 * expected_rate_h0(params, SchemeConfig(TS, f))
 
     interior = objective(optimize_harvest_fraction(params, "ts"))
     assert objective(1e-6) < 1e-3 * interior

@@ -14,6 +14,7 @@ from covertrelay import (
     sinr_h1,
     snr_h0,
 )
+from covertrelay.params import PS
 from covertrelay.relaying import downlink_coefficients, link_gains
 
 from conftest import random_params
@@ -53,7 +54,7 @@ def test_amplification_gain2_examples(unit_params, ts):
     assert amplification_gain2(unit_params, ts, 1.0) == pytest.approx(0.5, rel=1e-12)
     # no received signal: normalization against noise only
     assert amplification_gain2(unit_params, ts, 0.0) == pytest.approx(1.0, rel=1e-12)
-    almost_one = SchemeConfig.ps(1.0 - 1e-12)
+    almost_one = SchemeConfig(PS, 1.0 - 1e-12)
     s2r = relay_noise_power(almost_one, unit_params.sigma2_ra, unit_params.sigma2_rc)
     assert amplification_gain2(unit_params, almost_one, 5.0) == pytest.approx(1.0 / s2r, rel=1e-9)
 
