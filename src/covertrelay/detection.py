@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import TS, SchemeConfig, SystemParams
+from .params import SchemeConfig, SystemParams, harvest_coeff
 
 # Bisection bracket and iteration cap for solve_phi_epsilon.
 _PHI_BRACKET = (1e-15, 1.0 - 1e-15)
@@ -38,14 +38,10 @@ class DetectionPoint:
 def statistic_scale(params: SystemParams, scheme: SchemeConfig, eta: float) -> float:
     """Coefficient K multiplying |h_ar|^4 in the received-power statistic.
 
-    K = 2*eta*phi*Pa*L_ar^2/(1-phi) for time switching,
-    K = eta*rho*Pa*L_ar^2 for power splitting.
+    K = harvest_coeff * eta * Pa * L_ar^2: the relay's harvested transmit
+    power reaches the source over the reciprocal link, so L_ar g_ar enters twice.
     """
-    base = params.Pa * params.L_ar ** 2
-    f = scheme.fraction
-    if scheme.variant == TS:
-        return 2.0 * eta * f * base / (1.0 - f)
-    return eta * f * base
+    return harvest_coeff(scheme) * eta * params.Pa * params.L_ar ** 2
 
 
 def _exceedance(tau, sigma2_a: float, k: float, lam: float):

@@ -42,13 +42,6 @@ FIG6_PA_DBM = (10.0, 20.0)
 FIG6_TOTAL_DISTANCE = 20.0
 
 
-# Fixed per variant, independent of which other schemes run alongside.
-_FIG2_STREAMS = {
-    TS: (montecarlo.STREAM_FIG2_TS_H0, montecarlo.STREAM_FIG2_TS_H1),
-    PS: (montecarlo.STREAM_FIG2_PS_H0, montecarlo.STREAM_FIG2_PS_H1),
-}
-
-
 def resolve_fractions(points, variant: str, fraction) -> list[float]:
     """Turn a fraction setting (float or 'auto') into one value per point.
 
@@ -144,7 +137,7 @@ def run_fig2(
         taus = np.sort(np.append(tau_grid, tau_star))
         point = detection.detection_error(params, scheme, eta1, taus)
         a_mc, b_mc = montecarlo.detection_curve(
-            params, scheme, eta1, taus, mc_blocks, seed, streams=_FIG2_STREAMS[scheme.variant]
+            params, scheme, eta1, taus, mc_blocks, seed, streams=montecarlo.STREAMS_FIG2[scheme.variant]
         )
         base = params_columns(params)
         for j, tau in enumerate(taus):
@@ -180,34 +173,34 @@ def fig4_eta0_grid(eta_u: float) -> np.ndarray:
     return np.linspace(1e-6, eta_u - 1e-6, FIG4_GRID_POINTS)
 
 
+def _fig4_points(params: SystemParams) -> list[SystemParams]:
+    """The fig4/fig5 grid: fig4_eta0_grid at each of FIG4_EPSILONS, epsilon-major."""
+    return [params.with_updates(eta0=float(eta0), epsilon=float(epsilon))
+            for epsilon in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
+
+
 def run_fig4(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
     """Maximum effective covert rate versus eta0 for a set of covertness targets."""
-    points, extras = [], []
-    for epsilon in FIG4_EPSILONS:
-        eta0_dagger = detection.solve_phi_epsilon(epsilon) * params.eta_u
-        for eta0 in fig4_eta0_grid(params.eta_u):
-            points.append(params.with_updates(eta0=float(eta0), epsilon=float(epsilon)))
-            extras.append({"eta0_dagger": eta0_dagger})
+    points = _fig4_points(params)
+    extras = [{"eta0_dagger": detection.solve_phi_epsilon(p.epsilon) * params.eta_u} for p in points]
     return _rate_rows(points, extras, fraction, scheme_selector)
 
 
 def run_fig5(params: SystemParams) -> list[dict]:
     """Realized efficiency ratio eta0/eta1* versus eta0 (scheme-independent)."""
     rows = []
-    for epsilon in FIG4_EPSILONS:
-        phi_eps = detection.solve_phi_epsilon(epsilon)
-        for eta0 in fig4_eta0_grid(params.eta_u):
-            point = params.with_updates(eta0=float(eta0), epsilon=float(epsilon))
-            eta1_star, binding = rates.optimal_eta1(point)
-            rows.append({
-                "scheme": "both",
-                "phi": float(eta0) / eta1_star,
-                "phi_eps": phi_eps,
-                "eta0_dagger": phi_eps * params.eta_u,
-                "eta1_star": eta1_star,
-                "binding": binding,
-                **params_columns(point),
-            })
+    for point in _fig4_points(params):
+        phi_eps = detection.solve_phi_epsilon(point.epsilon)
+        eta1_star, binding = rates.optimal_eta1(point)
+        rows.append({
+            "scheme": "both",
+            "phi": point.eta0 / eta1_star,
+            "phi_eps": phi_eps,
+            "eta0_dagger": phi_eps * params.eta_u,
+            "eta1_star": eta1_star,
+            "binding": binding,
+            **params_columns(point),
+        })
     return rows
 
 

@@ -8,16 +8,17 @@ finite-blocklength effect that is out of scope.
 Reproducibility: one master seed; substream k is seeded with
 numpy.random.SeedSequence([master_seed, k]), a fixed documented mixing of
 the master seed and the stream counter. Every stream the package draws
-from is named below; nothing else picks a stream number.
+from is named below; nothing else picks a stream number. The STREAMS_*
+maps give each scheme variant its own streams, fixed whichever other
+scheme runs alongside.
 
-    0/1    STREAM_DETECTION_TS_H0/_H1 validate: detection H0/H1 draws, TS
-    2      STREAM_RATE                rate draws (both hops)
-    3/4    STREAM_DETECTION_PS_H0/_H1 validate: detection H0/H1 draws, PS
-    5/6    STREAM_KS_STATISTIC_TS/_PS validate: H0 statistic KS test
-    7      STREAM_KS_CHANNEL          validate: channel-gain KS test
-    10/11  STREAM_FIG2_TS_H0/_H1      fig2 Monte Carlo columns, TS
-    12/13  STREAM_FIG2_PS_H0/_H1      fig2 Monte Carlo columns, PS
-    999    STREAM_POWER_ALGEBRA       validate: random power-algebra tuples
+    TS      PS      name                  use
+    0/1     3/4     STREAMS_DETECTION     validate: detection H0/H1 draws
+    2       2       STREAM_RATE           rate draws (both hops)
+    5       6       STREAMS_KS_STATISTIC  validate: H0 statistic KS test
+    7       7       STREAM_KS_CHANNEL     validate: channel-gain KS test
+    10/11   12/13   STREAMS_FIG2          fig2 Monte Carlo H0/H1 columns
+    999     999     STREAM_POWER_ALGEBRA  validate: random power-algebra tuples
 
 Counts are integer tallies and means are single-pass numpy reductions over
 fixed-order arrays, so identical (params, seed) give bit-identical reports.
@@ -30,39 +31,31 @@ tallies are integer counts and add exactly, every elementwise operation
 acts on each element alone, and the mean, standard deviation and maximum
 reduce the same values as a one-shot evaluation would.
 
-Independent 10^6-draw jobs may run two at a time (_run_pair): the H0 and
-H1 tallies of detection_curve, and validate's five 10^6-draw jobs in two
+Independent 10^6-draw jobs run two at a time (_run_pair): the H0 and H1
+tallies of detection_curve, and validate's five 10^6-draw jobs in two
 lanes. Their work is numpy draws, sorts and ufunc passes, which release the
 interpreter lock. Running them at once cannot change a result: each job
 draws from its own stream, consumes it in order and reduces only its own
-arrays, and no accumulator is shared between jobs. With one usable CPU the
-jobs run in order on the calling thread.
+arrays, and no accumulator is shared between jobs. On one CPU the two
+threads take turns, in about the time of running the jobs in order.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import detection, relaying
-from .params import ChannelDraw, SchemeConfig, SystemParams
+from .params import PS, TS, ChannelDraw, SchemeConfig, SystemParams
 
-STREAM_DETECTION_TS_H0 = 0
-STREAM_DETECTION_TS_H1 = 1
 STREAM_RATE = 2
-STREAM_DETECTION_PS_H0 = 3
-STREAM_DETECTION_PS_H1 = 4
-STREAM_KS_STATISTIC_TS = 5
-STREAM_KS_STATISTIC_PS = 6
 STREAM_KS_CHANNEL = 7
-STREAM_FIG2_TS_H0 = 10
-STREAM_FIG2_TS_H1 = 11
-STREAM_FIG2_PS_H0 = 12
-STREAM_FIG2_PS_H1 = 13
 STREAM_POWER_ALGEBRA = 999
+STREAMS_DETECTION = {TS: (0, 1), PS: (3, 4)}  # (H0, H1)
+STREAMS_KS_STATISTIC = {TS: 5, PS: 6}
+STREAMS_FIG2 = {TS: (10, 11), PS: (12, 13)}  # (H0, H1)
 
 MC_BLOCKS = 10**6  # default fading blocks per estimate (fig2, validate, --mc-blocks)
 
@@ -84,23 +77,12 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(stream)]))
 
 
-def _cpu_count() -> int:
-    # CPUs this process may run on: the affinity mask, which taskset narrows,
-    # where the platform has one.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_pair(first, second):
-    """(first(), second()), with second on one worker thread when two CPUs are usable.
+    """(first(), second()), with second on one worker thread.
 
     The worker is joined before this returns; an exception raised by second
-    is re-raised here unchanged. With one usable CPU both run in order on
-    the calling thread.
+    is re-raised here unchanged.
     """
-    if _cpu_count() < 2:
-        return first(), second()
     results, errors = [], []
 
     def work():

@@ -139,6 +139,33 @@ class SchemeConfig:
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
 
 
+# TS splits each block in time, PS each received signal in power; these
+# three factors are all the physics that tells them apart. They only do
+# arithmetic on scheme.fraction, so a column of fractions gives a column of
+# factors (rates' lanes).
+
+def harvest_coeff(scheme: SchemeConfig):
+    """Harvested power per unit (eta * received signal power): 2f/(1-f) for TS, f for PS."""
+    f = scheme.fraction
+    if scheme.variant == TS:
+        return 2.0 * f / (1.0 - f)
+    return f
+
+
+def info_share(scheme: SchemeConfig):
+    """Share of the received signal (and antenna noise) reaching the information branch."""
+    if scheme.variant == TS:
+        return 1.0
+    return 1.0 - scheme.fraction
+
+
+def effective_rate_prefactor(scheme: SchemeConfig):
+    """Fraction of the block spent on the relay-to-destination transmission."""
+    if scheme.variant == TS:
+        return (1.0 - scheme.fraction) / 2.0
+    return 0.5
+
+
 @dataclass(frozen=True)
 class ChannelDraw:
     """One fading-block realization of the squared channel gains.
@@ -159,13 +186,10 @@ class ChannelDraw:
 def relay_noise_power(scheme: SchemeConfig, sigma2_ra: float, sigma2_rc: float) -> float:
     """Effective noise power entering the relay's information branch.
 
-    Under power splitting only the (1 - rho) share of the antenna noise
-    reaches the information receiver; conversion noise is added after the
-    split in both schemes.
+    Only the information share of the antenna noise reaches it (all of it
+    for TS); conversion noise is added after the split in both schemes.
     """
-    if scheme.variant == TS:
-        return sigma2_ra + sigma2_rc
-    return (1.0 - scheme.fraction) * sigma2_ra + sigma2_rc
+    return info_share(scheme) * sigma2_ra + sigma2_rc
 
 
 # ---------------------------------------------------------------------------

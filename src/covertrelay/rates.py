@@ -25,8 +25,10 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
   column broadcast against its row of outer nodes, and each row is reduced
   by the same 1-D dot as a one-point call (a 2-D matrix-vector product
   rounds differently in the last bit), so every lane equals the one-point
-  result bit for bit. The one-point functions run the same code. The
-  fraction search reduces its rows by row sums, also per lane.
+  result bit for bit. The one-point functions share the kernels but not the
+  lane set-up, which would make each call about a quarter slower (sweep
+  makes one such call per point). The fraction search reduces its rows by
+  row sums, also per lane.
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
   v = logit(fraction), advancing all lanes in lock step: each iteration
   makes one h evaluation for the unconverged lanes and takes dJ/dv and
@@ -43,7 +45,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import detection, relaying
-from .params import PS, TS, ChannelDraw, SchemeConfig, SystemParams, relay_noise_power
+from .params import (PS, TS, ChannelDraw, SchemeConfig, SystemParams, effective_rate_prefactor,
+                     relay_noise_power)
 
 QUAD_ERROR_LIMIT = 1e-6
 
@@ -356,13 +359,6 @@ def _h_polynomial(z, branch, table):
     return acc / z
 
 
-def effective_rate_prefactor(scheme: SchemeConfig) -> float:
-    """Fraction of the block spent on the relay-to-destination transmission."""
-    if scheme.variant == TS:
-        return (1.0 - scheme.fraction) / 2.0
-    return 0.5
-
-
 def _outer_nodes(params) -> ChannelDraw:
     return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T, g_rb=params.lambda_rb)
 
@@ -388,13 +384,17 @@ def _lane_scheme(variant: str, fractions) -> SimpleNamespace:
     return SimpleNamespace(variant=variant, fraction=np.asarray(fractions, dtype=float)[:, None])
 
 
-def _h0_terms(params, scheme) -> np.ndarray:
-    """E[ln(1 + snr_h0)] at each outer node: shape (201,), or (lanes, 201) for lane columns."""
-    c = relaying.downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
+def _h0_roots(params, scheme, draw, slopes=False):
+    """The eta0 downlink coefficients of draw, and h at both roots of the h0 terms.
+
+    1 + snr_h0 = (1 + p y) / (1 + p r y), so E[ln(1 + snr_h0)] = h(z) - h(z/r)
+    at each node, with z = 1/p. One _h call takes z and z/r stacked on the
+    first axis (with slopes, each of its three outputs is stacked so), and
+    np.split(_, 2) separates them.
+    """
+    c = relaying.downlink_coefficients(params, scheme, params.eta0, draw)
     z = 1.0 / c.p
-    # 1 + snr = (1 + p y) / (1 + p r y)
-    h = _h(np.concatenate([z, z / c.r]))
-    return h[:len(z)] - h[len(z):]
+    return c, _h(np.concatenate([z, z / c.r]), slopes=slopes)
 
 
 def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +493,9 @@ def average_covert_rates(points, variant: str, fractions, eta1s) -> list[RateRes
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     """Fading average of log2(1 + snr) for the forwarded signal, no covert data."""
-    return float(_OUTER_W @ _h0_terms(params, scheme)) / math.log(2.0)
+    _, h = _h0_roots(params, scheme, _outer_nodes(params))
+    at_z, at_zr = np.split(h, 2)
+    return float(_OUTER_W @ (at_z - at_zr)) / math.log(2.0)
 
 
 def covertness_budget_limit(eta0: float, eta_u: float) -> float:
@@ -539,15 +541,12 @@ def _h0_slopes(lanes, draw, variant: str, f: np.ndarray) -> tuple[np.ndarray, np
 
     J is the no-covert effective rate up to a constant factor; draw is
     _outer_nodes(lanes). Both roots z of the h0 terms enter through h(z), so
-    their v-derivatives follow from the ln z derivatives of h (_h with
-    slopes) and those of ln z in v.
+    their v-derivatives follow from the ln z derivatives of h (_h0_roots
+    with slopes) and those of ln z in v.
     """
     scheme = _lane_scheme(variant, f)
-    c = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, draw)
-    z = 1.0 / c.p
-    h, zh1, dzh1 = _h(np.concatenate([z, z / c.r]), slopes=True)
-    n = len(z)
-    h1, h2, zh1_1, zh1_2, dzh1_1, dzh1_2 = h[:n], h[n:], zh1[:n], zh1[n:], dzh1[:n], dzh1[n:]
+    c, parts = _h0_roots(lanes, scheme, draw, slopes=True)
+    (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = (np.split(x, 2) for x in parts)
     if variant == TS:
         # Both roots scale as e^(-v): d ln z / dv = -1.
         terms = (h1 - h2, zh1_2 - zh1_1, dzh1_1 - dzh1_2)

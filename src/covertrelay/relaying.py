@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TS, ChannelDraw, SchemeConfig, SystemParams, relay_noise_power
+from .params import ChannelDraw, SchemeConfig, SystemParams, harvest_coeff, info_share, relay_noise_power
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,17 @@ def link_gains(params: SystemParams, draw: ChannelDraw) -> LinkGains:
     return LinkGains(a=params.Pa * params.L_ar * draw.g_ar, b=params.L_rb * draw.g_rb)
 
 
-def _harvest_coeff(scheme: SchemeConfig) -> float:
-    # Harvested power per unit (eta * a): 2*phi/(1-phi) for TS, rho for PS.
-    f = scheme.fraction
-    if scheme.variant == TS:
-        return 2.0 * f / (1.0 - f)
-    return f
-
-
 def harvested_power_total(params: SystemParams, scheme: SchemeConfig, eta, g_ar):
     """Total relay transmit power funded by harvesting at efficiency eta [W]."""
     if np.any(np.asarray(eta) <= 0) or np.any(np.asarray(eta) >= 1):
         raise ValueError(f"conversion efficiency must lie in (0, 1), got {eta}")
-    return _harvest_coeff(scheme) * eta * params.Pa * params.L_ar * g_ar
+    return harvest_coeff(scheme) * eta * params.Pa * params.L_ar * g_ar
 
 
 def amplification_gain2(params: SystemParams, scheme: SchemeConfig, g_ar):
     """Squared AF gain G^2 normalizing the forwarded signal to unit power."""
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    return 1.0 / (_forwarded_signal_power(params, scheme, g_ar) + s2r)
+    return 1.0 / (info_share(scheme) * (params.Pa * params.L_ar * g_ar) + s2r)
 
 
 def _check_eta1(params: SystemParams, eta1):
@@ -98,7 +90,7 @@ def allocate_powers(
     _check_eta1(params, eta1)
     g = link_gains(params, draw)
     s2b = params.sigma2_b
-    coeff = _harvest_coeff(scheme)
+    coeff = harvest_coeff(scheme)
 
     pr0 = coeff * params.eta0 * g.a
     total = coeff * eta1 * g.a
@@ -108,21 +100,13 @@ def allocate_powers(
     return PowerAllocation(pr0=pr0, pr1=pr1, prc=prc, gain2=amplification_gain2(params, scheme, draw.g_ar))
 
 
-def _forwarded_signal_power(params: SystemParams, scheme: SchemeConfig, g_ar):
-    # Signal component entering the AF chain (post split for PS).
-    a = params.Pa * params.L_ar * g_ar
-    if scheme.variant != TS:
-        a = (1.0 - scheme.fraction) * a
-    return a
-
-
 def snr_h0(params: SystemParams, scheme: SchemeConfig, draw: ChannelDraw):
     """Destination SNR for the forwarded signal with no covert transmission."""
     g = link_gains(params, draw)
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
     g2 = amplification_gain2(params, scheme, draw.g_ar)
-    s = _forwarded_signal_power(params, scheme, draw.g_ar)
-    pr0 = _harvest_coeff(scheme) * params.eta0 * g.a
+    s = info_share(scheme) * g.a
+    pr0 = harvest_coeff(scheme) * params.eta0 * g.a
     return pr0 * g.b * g2 * s / (pr0 * g.b * g2 * s2r + params.sigma2_b)
 
 
@@ -134,7 +118,7 @@ def sinr_h1(params: SystemParams, scheme: SchemeConfig, eta1: float, draw: Chann
     alloc = allocate_powers(params, scheme, eta1, draw)
     g = link_gains(params, draw)
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    s = _forwarded_signal_power(params, scheme, draw.g_ar)
+    s = info_share(scheme) * g.a
     num = alloc.pr1 * g.b * alloc.gain2 * s
     den = alloc.pr1 * g.b * alloc.gain2 * s2r + alloc.prc * g.b + params.sigma2_b
     return num / den
@@ -160,10 +144,10 @@ def covert_snr_reduced(params: SystemParams, scheme: SchemeConfig, eta1: float, 
     g = link_gains(params, draw)
     s2b = params.sigma2_b
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    coeff = _harvest_coeff(scheme)
+    coeff = harvest_coeff(scheme)
     q_lo = coeff * params.eta0 * g.a * g.b
     q_hi = coeff * eta1 * g.a * g.b
-    s = _forwarded_signal_power(params, scheme, draw.g_ar)
+    s = info_share(scheme) * g.a
 
     # q_hi - q_lo computed in factored form: the explicit difference cancels
     # catastrophically when eta1 is close to eta0.
@@ -207,6 +191,6 @@ def downlink_coefficients(
     _check_eta1(params, eta1)
     g = link_gains(params, draw)
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    per_eta = _harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
-    s = _forwarded_signal_power(params, scheme, draw.g_ar)
+    per_eta = harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
+    s = info_share(scheme) * g.a
     return DownlinkCoefficients(p=params.eta0 * per_eta, dp=(eta1 - params.eta0) * per_eta, r=s2r / (s + s2r))

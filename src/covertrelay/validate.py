@@ -74,7 +74,7 @@ def _statistic_ks_distance(params: SystemParams, scheme: SchemeConfig, seed: int
     job holds one 10^6-element array; the statistic acts elementwise, so the
     values are those of one full-size evaluation.
     """
-    stream = montecarlo.STREAM_KS_STATISTIC_TS if scheme.variant == TS else montecarlo.STREAM_KS_STATISTIC_PS
+    stream = montecarlo.STREAMS_KS_STATISTIC[scheme.variant]
     t = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
     for start in range(0, KS_DRAWS, montecarlo._BLOCK):
         block = t[start:start + montecarlo._BLOCK]
@@ -188,10 +188,9 @@ def run_validation(
         taus_mc = params.sigma2_a + np.array([0.3, 1.0, 3.0]) * delta
         taus_grid = params.sigma2_a + np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 2000)
         taus = np.concatenate([taus_mc, taus_grid, [tau_star]])
-        streams = ((montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1) if tag == TS
-                   else (montecarlo.STREAM_DETECTION_PS_H0, montecarlo.STREAM_DETECTION_PS_H1))
         n_det = min(mc_blocks, 10**5)
-        a_hat, b_hat = montecarlo.detection_curve(params, scheme, eta1_mid, taus, n_det, seed, streams)
+        a_hat, b_hat = montecarlo.detection_curve(params, scheme, eta1_mid, taus, n_det, seed,
+                                                  montecarlo.STREAMS_DETECTION[tag])
 
         # Detection rates against Monte Carlo tallies (DETECTION_MC_Z
         # binomial standard errors computed from the closed-form rates).

@@ -28,7 +28,7 @@ from covertrelay import (
 from covertrelay import experiments as ex
 from covertrelay.cli import EXIT_OK, main
 from covertrelay.detection import statistic_scale
-from covertrelay.montecarlo import STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1, detection_curve
+from covertrelay.montecarlo import STREAMS_DETECTION, detection_curve
 from covertrelay.params import PS, TS, default_params
 from covertrelay.rates import BINDING_COVERTNESS, BINDING_HARVESTER
 
@@ -78,7 +78,7 @@ def test_criterion_2_fig2_reproduction():
         tau_star = optimal_threshold(params, scheme, eta1)
         xi_min[variant] = detection_error(params, scheme, eta1, tau_star).xi
         a_hat, b_hat = detection_curve(params, scheme, eta1, [tau_star], 10**6, seed=1002,
-                                       streams=(STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1))
+                                       streams=STREAMS_DETECTION[TS])
         assert abs(a_hat[0] + b_hat[0] - xi_min[variant]) <= 5e-3
     assert abs(xi_min["ts"] - XI_STAR_FIG2) <= 1e-6
     assert abs(xi_min["ts"] - xi_min["ps"]) <= 1e-10
@@ -103,7 +103,7 @@ def test_criterion_3_detection_rates_vs_monte_carlo():
         k1 = statistic_scale(p, scheme, eta1)
         tau = p.sigma2_a + rng.uniform(0.05, 20.0) * k1 * p.lambda_ar**2
         a_hat, b_hat = detection_curve(p, scheme, eta1, [tau], n, seed=2000 + trial,
-                                       streams=(STREAM_DETECTION_TS_H0, STREAM_DETECTION_TS_H1))
+                                       streams=STREAMS_DETECTION[TS])
         a = false_alarm(p, scheme, tau)
         b = miss_detection(p, scheme, eta1, tau)
         se_a = max(np.sqrt(a * (1 - a) / n), 1.0 / n)
@@ -208,6 +208,8 @@ def test_criterion_7_fig4_kink_and_limits():
         ]
         assert paired
         assert max(abs(a - b) for a, b in paired) <= 1e-9
+    # A one-scheme run gives that scheme's rows of the two-scheme run.
+    assert ex.run_fig4(params, fraction=0.5, scheme_selector="ts") == [r for r in rows if r["scheme"] == "ts"]
     _report(7, "kink within one grid step, endpoints <= 1e-6, post-kink curves overlap 1e-9",
             time.monotonic() - start)
 

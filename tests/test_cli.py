@@ -201,13 +201,12 @@ def _scipy(modules: list[str]) -> list[str]:
     return [m for m in modules if m.partition(".")[0] == "scipy"]
 
 
-def _modules_after(code: str) -> list[str]:
-    """Modules loaded by running code in a fresh interpreter."""
+def _modules_loaded(code: str) -> list[list[str]]:
+    """Run code in a fresh interpreter; each line it prints is a JSON list of modules."""
     src = str(pathlib.Path(covertrelay.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in out.stdout.splitlines()]
 
 
 @pytest.mark.parametrize("fraction", ["auto", "0.5"])
@@ -217,20 +216,28 @@ def test_empty_sweep_is_a_usage_error(capsys, fraction):
 
 
 def test_cli_import_loads_no_scipy():
-    """No CLI command loads scipy: importing the CLI, and each subcommand run
-    in a fresh interpreter (scipy is a test-only oracle)."""
-    loaded = _modules_after("import covertrelay.cli")
+    """No CLI command loads scipy: importing the CLI, and then each
+    subcommand in turn, in one fresh interpreter that lists its modules
+    after every step (scipy is a test-only oracle)."""
+    argvs = [["fig2"], ["fig3"], ["fig4"], ["fig5"], ["fig6"],
+             ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "auto"],
+             ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "0.5"],
+             ["validate", "--seed", "1"],
+             ["config-template"]]
+    snapshots = _modules_loaded(
+        "import contextlib, io, json, sys\n"
+        "import covertrelay.cli as cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert len(snapshots) == 1 + len(argvs)
+    loaded = snapshots[0]
     assert _scipy(loaded) == []
     # concurrent.futures would add about 8 ms to every command's start-up;
     # the Monte Carlo kernels' worker is a plain threading.Thread.
     assert "concurrent.futures" not in loaded
-    for argv in (["fig2"], ["fig3"], ["fig4"], ["fig5"], ["fig6"],
-                 ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "auto"],
-                 ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "0.5"],
-                 ["validate", "--seed", "1"],
-                 ["config-template"]):
-        loaded = _modules_after(
-            "import contextlib, io, covertrelay.cli as cli\n"
-            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0"
-        )
+    for argv, loaded in zip(argvs, snapshots[1:]):
         assert _scipy(loaded) == [], argv

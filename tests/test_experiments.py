@@ -45,26 +45,6 @@ def test_fig3_rows(params):
     assert all(r["psi_star"] > 0 for r in rows)
 
 
-def test_fig4_rows_kink_and_limits(params):
-    grid = ex.fig4_eta0_grid(params.eta_u)
-    rows = ex.run_fig4(params, fraction=0.5, scheme_selector="ts")
-    step = grid[1] - grid[0]
-    for eps in ex.FIG4_EPSILONS:
-        sub = _by(rows, epsilon=eps)
-        dagger = solve_phi_epsilon(eps) * params.eta_u
-        switch = next(r for r in sub if r["binding"] == "harvester-cap")
-        assert abs(switch["eta0"] - dagger) <= step
-        assert sub[0]["psi_star"] <= 1e-6
-        assert sub[-1]["psi_star"] <= 1e-6
-    # beyond every kink the curves coincide
-    post = [
-        (a["psi_star"], b["psi_star"])
-        for a, b in zip(_by(rows, epsilon=0.1), _by(rows, epsilon=0.2))
-        if a["binding"] == b["binding"] == "harvester-cap"
-    ]
-    assert post and all(abs(a - b) <= 1e-9 for a, b in post)
-
-
 def test_fig5_rows(params):
     rows = _by(ex.run_fig5(params), epsilon=0.1)
     phi_eps = solve_phi_epsilon(0.1)

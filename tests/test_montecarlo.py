@@ -21,7 +21,7 @@ from covertrelay.detection import statistic_scale
 from covertrelay import montecarlo
 from covertrelay.montecarlo import detection_curve, substream
 from covertrelay.experiments import csv_bytes, run_fig2
-from covertrelay.params import PS
+from covertrelay.params import PS, TS
 from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
 from conftest import random_params
@@ -30,8 +30,8 @@ XI_STAR_4_7 = 0.8973990224044965
 
 # Pointwise detection checks draw from streams 0/1 and threshold-grid
 # checks from streams 3/4, whatever the scheme.
-POINT_STREAMS = (montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1)
-GRID_STREAMS = (montecarlo.STREAM_DETECTION_PS_H0, montecarlo.STREAM_DETECTION_PS_H1)
+POINT_STREAMS = montecarlo.STREAMS_DETECTION[TS]
+GRID_STREAMS = montecarlo.STREAMS_DETECTION[PS]
 
 # Draw counts around the streaming block size, plus one 10^6 run.
 B = montecarlo._BLOCK
@@ -207,12 +207,13 @@ def test_streamed_kernels_stay_small(params, ts, kernel, limit_mib):
 
 @pytest.mark.parametrize("n", [1, B + 1, 10**5])
 def test_thread_count_cannot_change_results(params, monkeypatch, n):
-    # One usable CPU runs every job pair in order; two run each pair at once.
-    def run(cpus):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    # Reference: every job pair run in order on the calling thread.
+    def run():
         return csv_bytes(run_fig2(params, mc_blocks=n, seed=n)), run_validation(params, seed=n, mc_blocks=n)
 
-    assert run(1) == run(2)
+    threaded = run()
+    monkeypatch.setattr(montecarlo, "_run_pair", lambda first, second: (first(), second()))
+    assert run() == threaded
 
 
 class JobError(Exception):
@@ -220,8 +221,7 @@ class JobError(Exception):
 
 
 @pytest.mark.parametrize("failing", ["first", "second"])
-def test_run_pair_joins_the_worker_and_raises_the_job_error(monkeypatch, failing):
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+def test_run_pair_joins_the_worker_and_raises_the_job_error(failing):
     error = JobError(failing)
     threads = {}
 
@@ -299,5 +299,9 @@ def test_simulation_report_rejects_empty(params, ts):
 
 def test_stream_numbers_are_distinct():
     streams = [v for k, v in vars(montecarlo).items() if k.startswith("STREAM_")]
+    for name, per_variant in vars(montecarlo).items():
+        if name.startswith("STREAMS_"):
+            assert set(per_variant) == {TS, PS}, name
+            streams += np.ravel(list(per_variant.values())).tolist()
     assert len(streams) >= 13
     assert len(set(streams)) == len(streams)

@@ -23,7 +23,7 @@ from covertrelay import (
 )
 from covertrelay import rates, relaying
 from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid
-from covertrelay.params import PS, TS, dbm_to_watts
+from covertrelay.params import PS, TS, dbm_to_watts, effective_rate_prefactor
 from covertrelay.rates import (
     _ASYMPTOTIC_Z,
     _H_PAIR_INACCURATE_Z,
@@ -38,7 +38,6 @@ from covertrelay.rates import (
     RateResult,
     average_covert_rates,
     covertness_budget_limit,
-    effective_rate_prefactor,
     expected_rate_h0,
     optimize_harvest_fractions,
 )

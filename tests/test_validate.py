@@ -54,7 +54,7 @@ def test_proportion_halfwidth_positive(params, ts):
     n = 100
     a_hat, b_hat = montecarlo.detection_curve(
         params, ts, 0.7, [0.5 * params.sigma2_a], n, seed=5,
-        streams=(montecarlo.STREAM_DETECTION_TS_H0, montecarlo.STREAM_DETECTION_TS_H1),
+        streams=montecarlo.STREAMS_DETECTION[TS],
     )
     assert (a_hat[0], b_hat[0]) == (1.0, 0.0)
     ha = _proportion_halfwidth(np.round(a_hat[0] * n), n)
@@ -112,11 +112,10 @@ def test_ks_distance_bit_identical_to_one_shot(params, n):
         assert _ks_distance(draws.copy(), cdf) == _one_shot_ks_distance(draws, cdf)
 
 
-def test_validation_stays_small(monkeypatch):
+def test_validation_stays_small():
     # Two 10^6-draw jobs in flight, each holding one 7.6 MiB array plus a
     # block's temporaries: a statistic KS job overwrites its gains with the
     # statistic, and a rate job takes its standard deviation in place.
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -139,8 +138,8 @@ def test_ks_checks_equal_scipy_kstest(results):
     g = montecarlo.substream(SEED, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
     expected = stats.kstest(g, "expon", args=(0, params.lambda_ar)).statistic
     assert measured["channel-ks"] == pytest.approx(expected, rel=0, abs=1e-15)
-    for scheme, stream in ((SchemeConfig(TS, 0.5), montecarlo.STREAM_KS_STATISTIC_TS),
-                           (SchemeConfig(PS, 0.5), montecarlo.STREAM_KS_STATISTIC_PS)):
+    for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5)):
+        stream = montecarlo.STREAMS_KS_STATISTIC[scheme.variant]
         g = montecarlo.substream(SEED, stream).exponential(params.lambda_ar, KS_DRAWS)
         t = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
         expected = stats.kstest(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x)).statistic
