@@ -8,6 +8,7 @@ validation failure, 2 usage, config-parse or file I/O error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -20,6 +21,9 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SEED = 20240
+
+# A value that starts like a negative number.
+_NEGATIVE = re.compile(r"-[\d.]")
 
 
 def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carlo: bool = True) -> None:
@@ -115,9 +119,25 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write `--values -10,60` as `--values=-10,60`.
+
+    argparse takes an argument that starts with '-' for an option unless it
+    is a single negative number, so a list starting with a negative value
+    would be refused.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--values" and _NEGATIVE.match(arg):
+            out[-1] = f"--values={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
 
     try:
         if args.command == "config-template":

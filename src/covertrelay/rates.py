@@ -17,18 +17,30 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
 * Outer. Substituting g_ar = lambda_ar * e^t turns the exponential average
   into an integral over the real line that decays double-exponentially
   for t -> +inf and like e^(2t) for t -> -inf; the trapezoid rule on
-  t in [-45, 4.5] (Takahasi-Mori) converges geometrically, and the
-  every-other-node sum gives the error estimate at no extra cost.
+  201 nodes of t in [-45, 4.5] (Takahasi-Mori) converges geometrically,
+  and the every-other-node sum gives the error estimate at no extra cost.
+  Each lane starts its rule at its own node K (95-99 in the benchmark
+  domain, lower as the SNR grows). A node's value is at most s e^t for a
+  lane constant s (dp / ln 2 for the covert rate, p for the h0 rate), so
+  nodes 0..K-1 add at most s * sum_{k<K} w_k e^(t_k); K is the last node
+  where that is within 1e-17 of a lower bound on the lane's sum
+  (_covert_start, _h0_start). The covert rate adds the bound to
+  quad_error. The downlink coefficients and h are evaluated from the
+  call's smallest K on, and each lane's nodes before its own K enter the
+  sums as exact zeros, so the reductions keep the shape and order of the
+  full rule.
 * Lanes. A figure grid is evaluated in batched calls
   (optimize_harvest_fractions, average_covert_rates), one lane per
-  (SystemParams, fraction, eta1) point. Each lane's scalars are a (lanes, 1)
-  column broadcast against its row of outer nodes, and each row is reduced
-  by the same 1-D dot as a one-point call (a 2-D matrix-vector product
-  rounds differently in the last bit), so every lane equals the one-point
-  result bit for bit. The one-point functions share the kernels but not the
-  lane set-up, which would make each call about a quarter slower (sweep
-  makes one such call per point). The fraction search reduces its rows by
-  row sums, also per lane.
+  distinct (SystemParams rate fields, fraction, eta1) point; equal points
+  share a lane. Each lane's scalars are a (lanes, 1) column broadcast
+  against its row of outer nodes, and each row is reduced by the same 1-D
+  dot as a one-point call (a 2-D matrix-vector product rounds differently
+  in the last bit), so every lane equals the one-point result bit for bit,
+  whatever the other lanes' starts. The one-point functions share the
+  kernels but not the lane set-up, which would make each call about a
+  quarter slower (sweep makes one such call per point). The fraction
+  search reduces its rows by row sums, also per lane, all three from the
+  lane's start for the rate.
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
   v = logit(fraction), advancing all lanes in lock step: each iteration
   makes one h evaluation for the unconverged lanes and takes dJ/dv and
@@ -77,6 +89,22 @@ _OUTER_W[[0, -1]] *= 0.5
 # The same rule on every other node (step doubled), for the error estimate.
 _OUTER_W_HALF = 2.0 * _OUTER_W[::2]
 _OUTER_W_HALF[[0, -1]] = _OUTER_W[[0, -1]]
+_OUTER_INDEX = np.arange(_OUTER_T.size)
+_TINY = float(np.finfo(float).tiny)
+# A lane's rule starts at the last node K whose dropped nodes add at most
+# _TAIL_REL of a lower bound on the lane's sum. Node values are bounded by
+# s e^t, with s fixed per lane, so nodes 0..K-1 add at most s _OUTER_TAIL[K].
+_TAIL_REL = 1e-17
+_OUTER_TAIL = np.concatenate([[0.0], np.cumsum(_OUTER_W * _OUTER_EXP_T)[:-1]])
+# The lower bound adds up bounds at these nodes, around the peak of the
+# weights (t = 0 is node 181.8), each weighted by P(1/2 <= y <= 2) (covert)
+# or P(y >= 1/2) (h0), y ~ Exp(1); the last one gives s. The weights are
+# Python floats, so a one-point call bounds its sum in float arithmetic,
+# with the same operations as the lane columns.
+_PROBE = slice(178, 195, 4)
+_PROBE_W_COVERT = (_OUTER_W[_PROBE] * (math.exp(-0.5) - math.exp(-2.0)) / math.log(2.0)).tolist()
+_PROBE_W_H0 = (_OUTER_W[_PROBE] * math.exp(-0.5)).tolist()
+_PROBE_LAST_EXP_T = float(_OUTER_EXP_T[_PROBE][-1])
 
 # h(z) = e^z E1(z), the kernel of the inner expectation, by branches in |z|:
 # the power series near 0; for real z from _BAND_Z to _ASYMPTOTIC_Z, one
@@ -243,8 +271,10 @@ class RateResult:
     """Average covert rate, effective covert rate, and quadrature error.
 
     c_avg and psi are in bits per channel use; quad_error is the relative
-    difference between the full and the every-other-node outer rule plus a
-    bound on the rounding error of the closed-form inner expectation.
+    difference between the full and the every-other-node outer rule, plus a
+    bound on the rounding error of the closed-form inner expectation, plus
+    a bound on what the outer nodes before the lane's first kept node add
+    (at most 1e-17 of c_avg).
     """
 
     c_avg: float
@@ -277,7 +307,8 @@ def _h(z, slopes=False):
     n_near = np.count_nonzero(near)
     if not n_near:
         return _h_asymptotic(z, slopes)
-    z_near = z[near]
+    # Every element near: no gather, so h keeps the shape of z.
+    z_near = z if n_near == near.size else z[near]
     if is_complex:
         h = _h_complex(z_near)
     else:
@@ -359,8 +390,65 @@ def _h_polynomial(z, branch, table):
     return acc / z
 
 
-def _outer_nodes(params) -> ChannelDraw:
-    return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T, g_rb=params.lambda_rb)
+def _outer_nodes(params, nodes=slice(None)) -> ChannelDraw:
+    return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T[nodes], g_rb=params.lambda_rb)
+
+
+def _first_nodes(slope, low):
+    """First kept outer node: node values are at most slope * e^t, the sum at least low.
+
+    _TINY keeps the quotient finite where slope underflows to zero.
+    """
+    return _OUTER_TAIL.searchsorted(_TAIL_REL * low / (slope + _TINY), side="right") - 1
+
+
+def _covert_start(p, dp, r):
+    """First kept outer node of a covert lane, and the bound on the nodes before it [bits].
+
+    p, dp and r hold the lane's downlink coefficients at the _PROBE nodes,
+    one entry per node: floats, or one column of lanes each. A node's value
+    is at most dp / ln 2, as log(1 + x) <= x and snr <= dp y, and dp is
+    proportional to e^t. For 1/2 <= y <= 2 the covert snr is at least
+    x = (dp / 2) / (1 + 2 b + 4 a), with b and a the coefficients of its
+    denominator, and log(1 + x) >= x / (1 + x).
+    """
+    low = 0.0
+    for w, p_j, dp_j, r_j in zip(_PROBE_W_COVERT, p, dp, r):
+        x = 0.5 * dp_j / (1.0 + 2.0 * p_j * (1.0 + r_j) + 4.0 * r_j * p_j * (p_j + dp_j))
+        low = low + w * x / (1.0 + x)
+    slope = dp[-1] / (_PROBE_LAST_EXP_T * math.log(2.0))
+    start = _first_nodes(slope, low)
+    return start, slope * _OUTER_TAIL[start]
+
+
+def _h0_start(p, r):
+    """First kept outer node of an h0 lane, from p and r at the _PROBE nodes as in _covert_start.
+
+    A node's value ln(1 + snr_h0) is at most p, as snr_h0 <= p y, and p is
+    proportional to e^t. snr_h0 rises with y, so a node's value is at least
+    P(y >= 1/2) ln(1 + x) >= P(y >= 1/2) x / (1 + x), with x = snr_h0(1/2).
+    """
+    low = 0.0
+    for w, p_j, r_j in zip(_PROBE_W_H0, p, r):
+        x = 0.5 * p_j * (1.0 - r_j) / (1.0 + 0.5 * p_j * r_j)
+        low = low + w * x / (1.0 + x)
+    return _first_nodes(p[-1] / _PROBE_LAST_EXP_T, low)
+
+
+def _full_rows(rows, start):
+    """Rows of node values from node start.min() on, over all outer nodes.
+
+    Each row holds exact zeros before its own start, so the reductions keep
+    the shape and order of the full rule and a row does not depend on the
+    other rows' starts.
+    """
+    if rows.ndim == 1:
+        return np.concatenate((np.zeros(start), rows))
+    first = start.min()
+    out = np.zeros((len(rows), _OUTER_T.size))
+    out[:, first:] = rows
+    out[_OUTER_INDEX < start[:, None]] = 0.0
+    return out
 
 
 def _lane_values(points) -> list[tuple]:
@@ -384,17 +472,16 @@ def _lane_scheme(variant: str, fractions) -> SimpleNamespace:
     return SimpleNamespace(variant=variant, fraction=np.asarray(fractions, dtype=float)[:, None])
 
 
-def _h0_roots(params, scheme, draw, slopes=False):
-    """The eta0 downlink coefficients of draw, and h at both roots of the h0 terms.
+def _h0_roots(p, r, slopes=False):
+    """h at both roots of the h0 terms, for the eta0 downlink coefficients p and r.
 
     1 + snr_h0 = (1 + p y) / (1 + p r y), so E[ln(1 + snr_h0)] = h(z) - h(z/r)
     at each node, with z = 1/p. One _h call takes z and z/r stacked on the
     first axis (with slopes, each of its three outputs is stacked so), and
     np.split(_, 2) separates them.
     """
-    c = relaying.downlink_coefficients(params, scheme, params.eta0, draw)
-    z = 1.0 / c.p
-    return c, _h(np.concatenate([z, z / c.r]), slopes=slopes)
+    z = 1.0 / p
+    return _h(np.concatenate([z, z / r]), slopes=slopes)
 
 
 def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,6 +496,7 @@ def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     b = p * (1.0 + r)
     disc = (p * (1.0 - r)) ** 2 - 4.0 * r * p * dp
     real = disc >= 0.0
+    pair = ~real
     w = b[real] + np.sqrt(disc[real])
     n, m = b.size, w.size
     # Real roots: both numerator roots, then the denominator's large root and
@@ -416,24 +504,28 @@ def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     h = _h(np.concatenate([1.0 / p_hi, 1.0 / (p * r), w / (2.0 * a[real]), 2.0 / w]))
     h_p_hi, h_pr, h_large, h_small = h[:n], h[n:2 * n], h[2 * n:2 * n + m], h[2 * n + m:]
     # A complex root pair of the denominator contributes 2 Re h(z).
-    z_pair = (b[~real] + 1j * np.sqrt(-disc[~real])) / (2.0 * a[~real])
+    z_pair = (b[pair] + 1j * np.sqrt(-disc[pair])) / (2.0 * a[pair])
     h_pair = _h(z_pair)
     h_den = np.empty(n)
     h_den[real] = h_large + h_small
-    h_den[~real] = 2.0 * h_pair.real
+    h_den[pair] = 2.0 * h_pair.real
     # Per-node bound on the rounding error of the signed sum.
     rounding = _H_REL_ERR * (np.abs(h_p_hi) + np.abs(h_pr))
     rounding[real] += _H_REL_ERR * (np.abs(h_large) + np.abs(h_small))
     pair_err = np.where(np.abs(z_pair) < _H_PAIR_INACCURATE_Z, _H_PAIR_REL_ERR, _H_REL_ERR)
-    rounding[~real] += pair_err * 2.0 * np.abs(h_pair)
+    rounding[pair] += pair_err * 2.0 * np.abs(h_pair)
     return (h_p_hi + h_pr - h_den) / math.log(2.0), rounding
 
 
-def _outer_rule(values: np.ndarray, rounding: np.ndarray) -> tuple[float, float]:
-    """Outer trapezoid sum of one lane's node values and its relative error."""
+def _outer_rule(values: np.ndarray, rounding: np.ndarray, start, tail: float) -> tuple[float, float]:
+    """Outer trapezoid sum of one lane's node values and its relative error.
+
+    values spans all outer nodes, with exact zeros before start; rounding
+    spans the nodes from start on. tail bounds what the dropped nodes add.
+    """
     fine = float(_OUTER_W @ values)
     coarse = float(_OUTER_W_HALF @ values[::2])
-    err = abs(fine - coarse) + float(_OUTER_W @ rounding) / math.log(2.0)
+    err = abs(fine - coarse) + float(_OUTER_W[start:] @ rounding) / math.log(2.0) + float(tail)
     if fine:
         err /= abs(fine)
     return fine, err
@@ -458,10 +550,14 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     That happens as eta1 -> eta0, where the signed sum of h terms cancels
     to the size of the surplus; eta1 == eta0 itself gives exactly zero.
     """
+    # One call is mostly per-call overhead: the coefficients on all nodes
+    # cost less than a second call for the probe nodes.
     c = relaying.downlink_coefficients(params, scheme, eta1, _outer_nodes(params))
     if eta1 == params.eta0:
         return RateResult(c_avg=0.0, psi=0.0, quad_error=0.0)
-    fine, err = _outer_rule(*_covert_terms(c.p, c.dp, c.r))
+    start, tail = _covert_start(*(x[_PROBE].tolist() for x in (c.p, c.dp, c.r)))
+    values, rounding = _covert_terms(c.p[start:], c.dp[start:], c.r[start:])
+    fine, err = _outer_rule(_full_rows(values, start), rounding, start, tail)
     if err > QUAD_ERROR_LIMIT:
         _warn_flagged()
     return RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
@@ -470,32 +566,49 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
 def average_covert_rates(points, variant: str, fractions, eta1s) -> list[RateResult]:
     """average_covert_rate at many points of one scheme variant, in one call.
 
-    Lane i is (points[i], SchemeConfig(variant, fractions[i]), eta1s[i]).
-    Each lane's result equals the one-point call bit for bit; one warning
-    covers every flagged lane.
+    Lane i is (points[i], SchemeConfig(variant, fractions[i]), eta1s[i]);
+    equal lanes are evaluated once. Each lane's result equals the one-point
+    call bit for bit; one warning covers every flagged lane.
     """
-    lanes = _lanes(_lane_values(points))
-    eta1 = np.asarray(eta1s, dtype=float)
-    c = relaying.downlink_coefficients(lanes, _lane_scheme(variant, fractions), eta1[:, None], _outer_nodes(lanes))
-    live = eta1 != lanes.eta0[:, 0]
-    values, rounding = _covert_terms(*(field[live].ravel() for field in (c.p, c.dp, c.r)))
-    rows = zip(values.reshape(-1, _OUTER_T.size), rounding.reshape(-1, _OUTER_T.size))
-    sums = iter([_outer_rule(v, r) for v, r in rows])
-    results = []
-    for fraction, has_surplus in zip(fractions, live):
-        fine, err = next(sums) if has_surplus else (0.0, 0.0)
-        psi = effective_rate_prefactor(SchemeConfig(variant, float(fraction))) * fine
-        results.append(RateResult(c_avg=fine, psi=psi, quad_error=err))
+    keys = [(v, float(f), float(e)) for v, f, e in zip(_lane_values(points), fractions, eta1s)]
+    unique = list(dict.fromkeys(keys))
+    found = dict(zip(unique, _covert_lanes(unique, variant)))
+    results = [found[k] for k in keys]
     if any(not r.converged for r in results):
         _warn_flagged()
     return results
 
 
+def _covert_lanes(keys, variant: str) -> list[RateResult]:
+    """RateResult per (lane values, fraction, eta1) key."""
+    if not keys:
+        return []
+    values, fractions, eta1 = (np.array(col) for col in zip(*keys))
+    live = eta1 != _lanes(values).eta0[:, 0]
+    sums = iter([])
+    if live.any():
+        sub, scheme, eta1_col = _lanes(values[live]), _lane_scheme(variant, fractions[live]), eta1[live, None]
+        probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
+        start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
+        first = start.min()
+        c = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
+        node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
+        rows = zip(_full_rows(node_values, start), rounding, start, tail)
+        sums = iter([_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows])
+    results = []
+    for fraction, has_surplus in zip(fractions, live):
+        fine, err = next(sums) if has_surplus else (0.0, 0.0)
+        psi = effective_rate_prefactor(SchemeConfig(variant, float(fraction))) * fine
+        results.append(RateResult(c_avg=fine, psi=psi, quad_error=err))
+    return results
+
+
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     """Fading average of log2(1 + snr) for the forwarded signal, no covert data."""
-    _, h = _h0_roots(params, scheme, _outer_nodes(params))
-    at_z, at_zr = np.split(h, 2)
-    return float(_OUTER_W @ (at_z - at_zr)) / math.log(2.0)
+    c = relaying.downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
+    start = _h0_start(c.p[_PROBE].tolist(), c.r[_PROBE].tolist())
+    at_z, at_zr = np.split(_h0_roots(c.p[start:], c.r[start:]), 2)
+    return float(_OUTER_W @ _full_rows(at_z - at_zr, start)) / math.log(2.0)
 
 
 def covertness_budget_limit(eta0: float, eta_u: float) -> float:
@@ -536,16 +649,20 @@ def max_effective_covert_rate(params: SystemParams, scheme: SchemeConfig) -> Opt
     return OptimizationOutcome(eta1_star=eta1_star, psi_star=rate.psi, binding=binding)
 
 
-def _h0_slopes(lanes, draw, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dJ/dv and d2J/dv2 per lane at fractions f, for v = logit(f).
 
-    J is the no-covert effective rate up to a constant factor; draw is
-    _outer_nodes(lanes). Both roots z of the h0 terms enter through h(z), so
-    their v-derivatives follow from the ln z derivatives of h (_h0_roots
-    with slopes) and those of ln z in v.
+    J is the no-covert effective rate up to a constant factor. Both roots z
+    of the h0 terms enter through h(z), so their v-derivatives follow from
+    the ln z derivatives of h (_h0_roots with slopes) and those of ln z in
+    v. All three row sums start at the lane's first node for the rate.
     """
     scheme = _lane_scheme(variant, f)
-    c, parts = _h0_roots(lanes, scheme, draw, slopes=True)
+    probe = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, _outer_nodes(lanes, _PROBE))
+    start = _h0_start(probe.p.T, probe.r.T)
+    draw = _outer_nodes(lanes, slice(start.min(), None))
+    c = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, draw)
+    parts = _h0_roots(c.p, c.r, slopes=True)
     (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = (np.split(x, 2) for x in parts)
     if variant == TS:
         # Both roots scale as e^(-v): d ln z / dv = -1.
@@ -565,7 +682,7 @@ def _h0_slopes(lanes, draw, variant: str, f: np.ndarray) -> tuple[np.ndarray, np
         terms = (h1 - h2, zh1_1 * lv1 - zh1_2 * lv2,
                  dzh1_1 * lv1**2 + zh1_1 * lvv1 - dzh1_2 * lv2**2 - zh1_2 * lvv2)
     # Row sums, so a lane's value does not depend on the other lanes.
-    rate, d1, d2 = ((t * _OUTER_W).sum(axis=1) for t in terms)
+    rate, d1, d2 = ((_full_rows(t, start) * _OUTER_W).sum(axis=1) for t in terms)
     if variant == TS:
         # J = (1 - f) / 2 * rate; the factor 1/2 is dropped.
         g = f * (1.0 - f)
@@ -605,9 +722,9 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
     v = np.full(n, _SEARCH_START[variant])
     f = 1.0 / (1.0 + np.exp(-v))
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    sub, draw = lanes, _outer_nodes(lanes)
+    sub = lanes
     for _ in range(_SEARCH_MAXITER):
-        d1, d2 = _h0_slopes(sub, draw, variant, f)
+        d1, d2 = _h0_slopes(sub, variant, f)
         rising = d1 > 0.0
         lo, hi = np.where(rising, v, lo), np.where(rising, hi, v)
         concave = d2 < 0.0
@@ -624,7 +741,6 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
                 return out
             idx, v_next, f_next, lo, hi = idx[keep], v_next[keep], f_next[keep], lo[keep], hi[keep]
             sub = SimpleNamespace(**{name: col[idx] for name, col in vars(lanes).items()})
-            draw = _outer_nodes(sub)
         v, f = v_next, f_next
     out[idx] = f
     return out

@@ -39,6 +39,17 @@ def test_sweep_stdout(capsys):
     assert "swept_param" in out
 
 
+def test_sweep_values_may_start_negative(capsys):
+    # argparse reads "-10,60" as an option unless it is joined with "=".
+    argv = ["sweep", "--param", "Pa", "--fraction", "0.5", "--scheme", "ts"]
+    assert main([*argv, "--values", "-10,60"]) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main([*argv, "--values=-10,60"]) == EXIT_OK
+    assert capsys.readouterr().out == spaced
+    swept = [row.split(",")[3] for row in spaced.splitlines()[1:]]
+    assert swept == ["-10", "60"]
+
+
 def test_sweep_linspace(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--param", "d_ar", "--linspace", "5", "15", "3",

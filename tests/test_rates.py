@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -22,7 +23,7 @@ from covertrelay import (
     simulate_covert_rate,
 )
 from covertrelay import rates, relaying
-from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid
+from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid, run_fig4
 from covertrelay.params import PS, TS, dbm_to_watts, effective_rate_prefactor
 from covertrelay.rates import (
     _ASYMPTOTIC_Z,
@@ -31,6 +32,7 @@ from covertrelay.rates import (
     _H_REL_ERR,
     _NEAR_EDGES,
     _OUTER_EXP_T,
+    _OUTER_W,
     _h,
     BINDING_COVERTNESS,
     BINDING_HARVESTER,
@@ -268,14 +270,22 @@ def test_quadrature_vs_monte_carlo_random_sets(params, variant):
 
 
 # The benchmark domain (config units), as in benchmarks/workloads.py.
-domain_params = st.builds(
-    lambda pa, d_ar, d_rb, lam_ar, lam_rb, eta_u, u: default_params(
-        Pa=dbm_to_watts(pa), d_ar=d_ar, d_rb=d_rb, lambda_ar=lam_ar, lambda_rb=lam_rb,
-        eta_u=eta_u, eta0=0.05 + u * (eta_u - 0.1),
-    ),
-    st.floats(-10.0, 32.0), st.floats(2.0, 18.0), st.floats(2.0, 18.0),
-    st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.6, 0.9), st.floats(0.0, 1.0),
-)
+DOMAIN = {"Pa": (-10.0, 32.0), "d_ar": (2.0, 18.0), "d_rb": (2.0, 18.0), "lambda_ar": (0.5, 2.0),
+          "lambda_rb": (0.5, 2.0), "eta_u": (0.6, 0.9)}
+
+
+def _domain_point(pa, d_ar, d_rb, lambda_ar, lambda_rb, eta_u, u):
+    """Config-unit domain values as params, with eta0 a share u of [0.05, eta_u - 0.05]."""
+    return default_params(Pa=dbm_to_watts(pa), d_ar=d_ar, d_rb=d_rb, lambda_ar=lambda_ar, lambda_rb=lambda_rb,
+                          eta_u=eta_u, eta0=0.05 + u * (eta_u - 0.1))
+
+
+domain_params = st.builds(_domain_point, *(st.floats(*r) for r in DOMAIN.values()), st.floats(0.0, 1.0))
+
+
+def _mixed_start_points(p):
+    """p at Pa = -10 and 60 dBm: lanes whose outer rules start at different nodes."""
+    return [p.with_updates(Pa=dbm_to_watts(-10.0)), p.with_updates(Pa=dbm_to_watts(60.0))]
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
@@ -325,8 +335,10 @@ edge_params = st.builds(
 @settings(max_examples=15, deadline=None)
 @given(points=st.lists(st.one_of(domain_params, edge_params), min_size=1, max_size=6))
 def test_lane_search_reaches_scipy_bounded_brent(variant, points):
-    # Mixed parameter points in one call: no lane may end lower in J than a
-    # tight bounded Brent, and each lane equals its one-lane call.
+    # Mixed parameter points in one call, with lanes whose outer rules start
+    # at different nodes and a repeated point: no lane may end lower in J
+    # than a tight bounded Brent, and each lane equals its one-lane call.
+    points = [*points, *_mixed_start_points(points[0]), points[0]]
     got = optimize_harvest_fractions(points, variant)
     for p, f in zip(points, got):
         objective = _fraction_objective(p, variant)
@@ -341,9 +353,9 @@ def test_lane_search_evaluations_on_fig4_grid(params, variant, monkeypatch):
     evaluated = []
     slopes = rates._h0_slopes
 
-    def counted(lanes, draw, variant, f):
+    def counted(lanes, variant, f):
         evaluated.append(len(f))
-        return slopes(lanes, draw, variant, f)
+        return slopes(lanes, variant, f)
 
     monkeypatch.setattr(rates, "_h0_slopes", counted)
     points = [params.with_updates(eta0=float(eta0), epsilon=eps)
@@ -418,8 +430,12 @@ def _rates_and_warning_count(call):
 @settings(max_examples=15, deadline=None)
 @given(points=st.lists(domain_params, min_size=1, max_size=6), data=st.data())
 def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
+    # Lanes whose outer rules start at different nodes, and the last lane
+    # repeats the first.
+    points = [*points, *_mixed_start_points(points[0])]
     fractions = [data.draw(st.floats(0.01, 0.99)) for _ in points]
     eta1s = [data.draw(st.floats(p.eta0, p.eta_u)) for p in points]
+    points, fractions, eta1s = ([*x, x[0]] for x in (points, fractions, eta1s))
     batched, n_batched = _rates_and_warning_count(
         lambda: average_covert_rates(points, variant, fractions, eta1s))
     single, n_single = _rates_and_warning_count(lambda: [
@@ -450,3 +466,121 @@ def test_batched_covert_rate_branches(params, variant):
         params, SchemeConfig(variant, 0.5), 0.7, ChannelDraw(params.lambda_ar * _OUTER_EXP_T, params.lambda_rb))
     disc = (c.p * (1.0 - c.r)) ** 2 - 4.0 * c.r * c.p * c.dp
     assert (disc < 0).any() and (disc >= 0).any()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_h_keeps_the_shape_of_its_argument(dtype):
+    # Every element near (no asymptotic branch), and one far.
+    near = np.geomspace(0.5, 400.0, 12).reshape(3, 4).astype(dtype)
+    far = near.copy()
+    far[0, 0] = 1e3
+    for z in (near, far):
+        flat = [_h(z.ravel())] if dtype is complex else [_h(z.ravel()), *_h(z.ravel(), slopes=True)]
+        got = [_h(z)] if dtype is complex else [_h(z), *_h(z, slopes=True)]
+        for part, ref in zip(got, flat):
+            assert part.shape == z.shape
+            assert (part.ravel() == ref).all()
+
+
+def test_fraction_search_at_a_carrier_where_every_h_is_near():
+    # At fc = 1e-24 Hz every h0 root is below the asymptotic branch, which
+    # once returned h flattened and failed the search's row sums.
+    for variant in (TS, PS):
+        f = optimize_harvest_fraction(default_params(fc=1e-24), variant)
+        assert 1e-3 <= f <= 1.0 - 1e-3
+
+
+def _rule_scan_params():
+    """The domain's corners, eta0 low or high in turn, and extreme but realistic configs.
+
+    The high eta0 leaves room for a surplus of 0.1 below eta_u.
+    """
+    corners = [_domain_point(*values, 0.8 * (i % 2)) for i, values in enumerate(itertools.product(*DOMAIN.values()))]
+    extremes = [{"Pa": dbm_to_watts(pa)} for pa in (60.0, 100.0, 150.0, 200.0)]
+    extremes += [{"d_ar": 1e-3}, {"fc": 1e6}, {"sigma2_ba": dbm_to_watts(-200.0)}]
+    return corners + [default_params(**e) for e in extremes]
+
+
+def _full_rule_coefficients(p, scheme, eta1):
+    """The covert and the h0 (eta0) downlink coefficients on all outer nodes."""
+    return [relaying.downlink_coefficients(p, scheme, e, rates._outer_nodes(p)) for e in (eta1, p.eta0)]
+
+
+def _starts(p, scheme, eta1):
+    """(covert start, its tail bound), and the h0 start."""
+    c, c0 = _full_rule_coefficients(p, scheme, eta1)
+    c, c0 = ([x[rates._PROBE].tolist() for x in coef] for coef in ((c.p, c.dp, c.r), (c0.p, c0.r)))
+    return rates._covert_start(*c), rates._h0_start(*c0)
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+def test_outer_rule_start_is_sound(variant):
+    # Against the full 201-node rule: the nodes before a lane's start add at
+    # most the tail bound reported in quad_error, and that bound is within
+    # 1e-17 of the sum. The same holds for the h0 rate's start. At low SNR
+    # a node's value is almost its bound, so the computed dropped sum is
+    # allowed its rounding bound too.
+    for p, fraction in itertools.product(_rule_scan_params(), (0.05, 0.5, 0.95)):
+        scheme = SchemeConfig(variant, fraction)
+        for surplus in (1e-1, 1e-6):
+            eta1 = p.eta0 + surplus
+            c, c0 = _full_rule_coefficients(p, scheme, eta1)
+            (start, tail), h0_start = _starts(p, scheme, eta1)
+            h_values = np.subtract(*np.split(rates._h0_roots(c0.p, c0.r), 2))
+            assert abs(_OUTER_W[:h0_start] @ h_values[:h0_start]) <= 1e-17 * (_OUTER_W @ h_values)
+            values, rounding = rates._covert_terms(c.p, c.dp, c.r)
+            full, _ = rates._outer_rule(values, rounding, 0, 0.0)
+            dropped_rounding = _OUTER_W[:start] @ rounding[:start] / math.log(2.0)
+            assert abs(_OUTER_W[:start] @ values[:start]) <= tail + dropped_rounding
+            assert tail <= 1e-17 * full
+            # The two sums may also round apart by one unit in the last place.
+            # (fc = 1 MHz, TS 0.95 at a surplus of 1e-6 is flagged by its
+            # rounding bound, on the full rule too.)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "covert-rate quadrature", RuntimeWarning)
+                trimmed = average_covert_rate(p, scheme, eta1).c_avg
+            assert abs(trimmed - full) <= tail + np.spacing(full)
+
+
+def test_source_power_moves_the_first_node(params):
+    low, high = _mixed_start_points(params)
+    for variant in (TS, PS):
+        ((high_start, _), high_h0), ((low_start, _), low_h0) = (
+            _starts(p, SchemeConfig(variant, 0.5), 0.7) for p in (high, low))
+        assert high_start < low_start and high_h0 < low_h0
+
+
+def test_full_rows_zero_each_row_before_its_own_start():
+    rows = rates._full_rows(np.ones((2, 3)), np.array([198, 199]))
+    assert rows.shape == (2, _OUTER_W.size)
+    assert rows.sum(axis=1).tolist() == [3.0, 2.0]
+    assert not rows[:, :198].any()
+
+
+def _count_h_elements(monkeypatch) -> list:
+    sizes = []
+    h = rates._h
+
+    def counted(z, slopes=False):
+        sizes.append(z.size)
+        return h(z, slopes)
+
+    monkeypatch.setattr(rates, "_h", counted)
+    return sizes
+
+
+def test_equal_lanes_are_evaluated_once(params, monkeypatch):
+    sizes = _count_h_elements(monkeypatch)
+    average_covert_rates([params], TS, [0.5], [0.7])
+    one = sum(sizes)
+    sizes.clear()
+    average_covert_rates([params] * 3, TS, [0.5] * 3, [0.7] * 3)
+    assert sum(sizes) == one
+
+
+def test_fig4_h_elements(params, monkeypatch):
+    # fig4 at the defaults (auto fraction) sent 1,141,043 elements through h
+    # on the full 201-node rule, with every covert lane evaluated.
+    sizes = _count_h_elements(monkeypatch)
+    run_fig4(params)
+    assert sum(sizes) <= 0.6 * 1_141_043
