@@ -483,8 +483,9 @@ def test_h_keeps_the_shape_of_its_argument(dtype):
 
 
 def test_fraction_search_at_a_carrier_where_every_h_is_near():
-    # At fc = 1e-24 Hz every h0 root is below the asymptotic branch, which
-    # once returned h flattened and failed the search's row sums.
+    # At fc = 1e-24 Hz a search step can put every h0 root below the
+    # asymptotic branch, where _h once returned h flattened and the row
+    # sums failed.
     for variant in (TS, PS):
         f = optimize_harvest_fraction(default_params(fc=1e-24), variant)
         assert 1e-3 <= f <= 1.0 - 1e-3
