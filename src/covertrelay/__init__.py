@@ -36,7 +36,6 @@ from .rates import (
     average_covert_rate,
     max_effective_covert_rate,
     optimal_eta1,
-    optimize_harvest_fraction,
 )
 from .relaying import (
     LinkGains,
@@ -83,7 +82,6 @@ __all__ = [
     "miss_detection",
     "optimal_eta1",
     "optimal_threshold",
-    "optimize_harvest_fraction",
     "path_loss",
     "relay_noise_power",
     "simulate_covert_rate",

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import experiments, montecarlo, validate
-from .params import ConfigError, config_template, default_params, load_config
+from .params import (DEFAULT_SCHEME, SCHEME_SELECTORS, ConfigError, config_template, default_params, load_config,
+                     parse_fraction)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,9 +43,9 @@ def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carl
     )
     if scheme:
         parser.add_argument(
-            "--scheme", choices=["ts", "ps", "both"], default=None,
+            "--scheme", choices=list(SCHEME_SELECTORS), default=None,
             help="energy-harvesting scheme(s) to run "
-                 "(default: the config file's scheme key, else both)",
+                 f"(default: the config file's scheme key, else {DEFAULT_SCHEME})",
         )
         parser.add_argument(
             "--fraction", default=None, metavar="X|auto",
@@ -102,13 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple:
-    if args.config:
-        params, scheme, fraction = load_config(args.config)
-    else:
-        params, scheme, fraction = default_params(), None, "auto"
+    """(params, variants, fraction); each setting from its flag, else the config file, else the default."""
+    params, scheme, fraction = load_config(args.config) if args.config else (default_params(), None, None)
+    scheme = getattr(args, "scheme", None) or scheme or DEFAULT_SCHEME
     if getattr(args, "fraction", None) is not None:
-        fraction = args.fraction if args.fraction == "auto" else float(args.fraction)
-    return params, scheme, fraction
+        fraction = parse_fraction(args.fraction)
+    return params, SCHEME_SELECTORS[scheme], "auto" if fraction is None else fraction
 
 
 def _write(text: str, out_path) -> None:
@@ -144,23 +144,22 @@ def main(argv=None) -> int:
             _write(config_template(), args.out)
             return EXIT_OK
 
-        params, config_scheme, fraction = _load(args)
-        scheme = getattr(args, "scheme", None) or config_scheme or "both"
+        params, variants, fraction = _load(args)
 
         if args.command == "fig2":
             rows = experiments.run_fig2(
                 params, fraction=fraction, eta1=args.eta1,
                 n_tau=args.n_tau, mc_blocks=args.mc_blocks, seed=args.seed,
-                scheme_selector=scheme,
+                variants=variants,
             )
         elif args.command == "fig3":
-            rows = experiments.run_fig3(params, fraction=fraction, scheme_selector=scheme)
+            rows = experiments.run_fig3(params, fraction=fraction, variants=variants)
         elif args.command == "fig4":
-            rows = experiments.run_fig4(params, fraction=fraction, scheme_selector=scheme)
+            rows = experiments.run_fig4(params, fraction=fraction, variants=variants)
         elif args.command == "fig5":
             rows = experiments.run_fig5(params)
         elif args.command == "fig6":
-            rows = experiments.run_fig6(params, fraction=fraction, scheme_selector=scheme)
+            rows = experiments.run_fig6(params, fraction=fraction, variants=variants)
         elif args.command == "sweep":
             if args.values:
                 values = [float(v) for v in args.values.split(",")]
@@ -168,10 +167,10 @@ def main(argv=None) -> int:
                 start, stop, num = args.linspace
                 values = list(np.linspace(float(start), float(stop), int(num)))
             rows = experiments.run_sweep(
-                params, args.param, values, fraction=fraction, scheme_selector=scheme,
+                params, args.param, values, fraction=fraction, variants=variants,
             )
         elif args.command == "validate":
-            f = validate.DEFAULT_FRACTION if fraction == "auto" else float(fraction)
+            f = validate.DEFAULT_FRACTION if fraction == "auto" else fraction
             perturb = 0.05 if args.self_test else 0.0
             results = validate.run_validation(
                 params, seed=args.seed, mc_blocks=args.mc_blocks, fraction=f, perturb=perturb,

@@ -6,10 +6,14 @@ column schema per recipe so they serialize directly to CSV. Rows are
 produced in grid order and everything downstream of the seed is
 deterministic, so reruns emit identical bytes.
 
-Exact numeric overlay with published curves is not possible because the
-harvesting fractions behind them are unstated; the recipes default to
-fraction='auto', which pins each point's fraction to the value maximizing
-the no-covert forwarded rate.
+Every recipe but fig5 takes the scheme setting as `variants`, a tuple of
+params.TS/params.PS (params.SCHEME_SELECTORS maps each --scheme value to
+one; default both), and a fraction: a float or 'auto', as
+params.parse_fraction reads them. SchemeConfig rejects a bad variant or
+fraction. Exact numeric overlay with published curves is not possible
+because the harvesting fractions behind them are unstated; the recipes
+default to fraction='auto', which pins each point's fraction to the value
+maximizing the no-covert forwarded rate.
 
 Figs 3-6 run the paper's fixed grids (the FIG* constants below: source
 power, eta0 at two covertness targets, relay position); sweep is the one
@@ -27,7 +31,7 @@ import io
 import numpy as np
 
 from . import detection, montecarlo, rates, relaying
-from .params import CONFIG_FIELDS, PS, TS, SchemeConfig, SystemParams, dbm_to_watts
+from .params import CONFIG_FIELDS, DEFAULT_SCHEME, SCHEME_SELECTORS, SchemeConfig, SystemParams, dbm_to_watts
 
 FLOAT_DIGITS = 12  # significant digits in CSV float fields
 
@@ -40,6 +44,7 @@ FIG4_EPSILONS = (0.1, 0.2)
 FIG6_D_AR = tuple(np.linspace(2.0, 18.0, 33))
 FIG6_PA_DBM = (10.0, 20.0)
 FIG6_TOTAL_DISTANCE = 20.0
+_DEFAULT_VARIANTS = SCHEME_SELECTORS[DEFAULT_SCHEME]
 
 
 def resolve_fractions(points, variant: str, fraction) -> list[float]:
@@ -52,14 +57,6 @@ def resolve_fractions(points, variant: str, fraction) -> list[float]:
     if fraction != "auto":
         return [float(fraction)] * len(points)
     return rates.optimize_harvest_fractions(points, variant).tolist()
-
-
-def scheme_variants(selector: str) -> tuple[str, ...]:
-    if selector == "both":
-        return (TS, PS)
-    if selector in (TS, PS):
-        return (selector,)
-    raise ValueError(f"scheme must be 'ts', 'ps' or 'both', got {selector!r}")
 
 
 def params_columns(params: SystemParams) -> dict:
@@ -78,8 +75,8 @@ def _rate_outputs(point: SystemParams, eta1_star: float, binding: str, rate: rat
     }
 
 
-def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, scheme_selector: str) -> list[dict]:
-    """One rate row per point and selected scheme, in point order.
+def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, variants) -> list[dict]:
+    """One rate row per point and variant, in point order.
 
     Each scheme makes one fraction search and one covert-rate call over
     all points; extra columns follow scheme and fraction.
@@ -87,7 +84,7 @@ def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, scheme_
     optima = [rates.optimal_eta1(p) for p in points]
     eta1s = [eta1 for eta1, _ in optima]
     per_scheme = []
-    for variant in scheme_variants(scheme_selector):
+    for variant in variants:
         fractions = resolve_fractions(points, variant, fraction)
         per_scheme.append((variant, fractions, rates.average_covert_rates(points, variant, fractions, eta1s)))
     rows = []
@@ -110,20 +107,17 @@ def run_fig2(
     n_tau: int = FIG2_N_TAU,
     mc_blocks: int = montecarlo.MC_BLOCKS,
     seed: int = 0,
-    scheme_selector: str = "both",
+    variants=_DEFAULT_VARIANTS,
 ) -> list[dict]:
     """Detection error versus threshold, closed form and Monte Carlo.
 
-    One log-spaced threshold grid straddling the selected schemes' optimal
+    One log-spaced threshold grid straddling the variants' optimal
     thresholds is shared by them; the optimum of each scheme is inserted
     as an extra marked row.
     """
     if n_tau < 2:
         raise ValueError(f"n_tau must be >= 2, got {n_tau}")
-    schemes = [
-        SchemeConfig(v, resolve_fractions([params], v, fraction)[0])
-        for v in scheme_variants(scheme_selector)
-    ]
+    schemes = [SchemeConfig(v, resolve_fractions([params], v, fraction)[0]) for v in variants]
     deltas = [detection.optimal_threshold(params, s, eta1) - params.sigma2_a for s in schemes]
     relaying._check_eta1(params, eta1)  # optimal_threshold rejects eta1 <= eta0, this eta1 > eta_u
     lo = 0.5 * params.sigma2_a  # below the noise floor, where xi = 1
@@ -160,12 +154,12 @@ def run_fig2(
     return rows
 
 
-def run_fig3(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
+def run_fig3(params: SystemParams, fraction="auto", variants=_DEFAULT_VARIANTS) -> list[dict]:
     """Maximum effective covert rate versus source power, per scheme and eta0."""
     grid = [(eta0, pa_dbm) for eta0 in FIG3_ETA0 for pa_dbm in FIG3_PA_DBM]
     points = [params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0) for eta0, pa_dbm in grid]
     extras = [{"pa_dbm": float(pa_dbm)} for _, pa_dbm in grid]
-    return _rate_rows(points, extras, fraction, scheme_selector)
+    return _rate_rows(points, extras, fraction, variants)
 
 
 def fig4_eta0_grid(eta_u: float) -> np.ndarray:
@@ -179,11 +173,11 @@ def _fig4_points(params: SystemParams) -> list[SystemParams]:
             for epsilon in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
 
 
-def run_fig4(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
+def run_fig4(params: SystemParams, fraction="auto", variants=_DEFAULT_VARIANTS) -> list[dict]:
     """Maximum effective covert rate versus eta0 for a set of covertness targets."""
     points = _fig4_points(params)
     extras = [{"eta0_dagger": detection.solve_phi_epsilon(p.epsilon) * params.eta_u} for p in points]
-    return _rate_rows(points, extras, fraction, scheme_selector)
+    return _rate_rows(points, extras, fraction, variants)
 
 
 def run_fig5(params: SystemParams) -> list[dict]:
@@ -204,7 +198,7 @@ def run_fig5(params: SystemParams) -> list[dict]:
     return rows
 
 
-def run_fig6(params: SystemParams, fraction="auto", scheme_selector: str = "both") -> list[dict]:
+def run_fig6(params: SystemParams, fraction="auto", variants=_DEFAULT_VARIANTS) -> list[dict]:
     """Maximum effective covert rate versus relay placement on a fixed path."""
     grid = [(pa_dbm, d_ar) for pa_dbm in FIG6_PA_DBM for d_ar in FIG6_D_AR]
     points = [
@@ -212,7 +206,7 @@ def run_fig6(params: SystemParams, fraction="auto", scheme_selector: str = "both
         for pa_dbm, d_ar in grid
     ]
     extras = [{"pa_dbm": float(pa_dbm), "total_distance_m": FIG6_TOTAL_DISTANCE} for pa_dbm, _ in grid]
-    return _rate_rows(points, extras, fraction, scheme_selector)
+    return _rate_rows(points, extras, fraction, variants)
 
 
 def run_sweep(
@@ -220,10 +214,9 @@ def run_sweep(
     param_name: str,
     values,
     fraction="auto",
-    scheme_selector: str = "both",
+    variants=_DEFAULT_VARIANTS,
 ) -> list[dict]:
     """Sweep one parameter (config units) and record rate and detection outputs."""
-    variants = scheme_variants(scheme_selector)
     if param_name == "fraction":
         points = [params] * len(values)
         fractions = {v: [float(x) for x in values] for v in variants}

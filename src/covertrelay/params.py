@@ -18,6 +18,9 @@ SPEED_OF_LIGHT = 3e8  # m/s
 
 TS = "ts"
 PS = "ps"
+# Values of the scheme setting (--scheme, the scheme key) and the variants each runs.
+SCHEME_SELECTORS = {TS: (TS,), PS: (PS,), "both": (TS, PS)}
+DEFAULT_SCHEME = "both"
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -91,10 +94,10 @@ class SystemParams:
             ("sigma2_bc", self.sigma2_bc), ("sigma2_a", self.sigma2_a),
         ]
         for name, value in positive:
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        if self.m < 0:
-            raise ValueError(f"path-loss exponent must be >= 0, got {self.m}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.m < math.inf:
+            raise ValueError(f"path-loss exponent must be finite and >= 0, got {self.m}")
         if not (0 < self.eta0 <= self.eta_u < 1):
             raise ValueError(
                 f"need 0 < eta0 <= eta_u < 1, got eta0={self.eta0}, eta_u={self.eta_u}"
@@ -127,16 +130,30 @@ class SchemeConfig:
 
     For 'ts' the fraction is the share of the block spent harvesting; for
     'ps' it is the received-power share routed to the harvester.
+
+    The fraction may also be an array, such as rates' (lanes, 1) column of
+    one fraction per lane, each entry checked alike; such a config is not
+    hashed or compared.
     """
 
     variant: str
-    fraction: float
+    fraction: float | np.ndarray
 
     def __post_init__(self):
         if self.variant not in (TS, PS):
             raise ValueError(f"variant must be '{TS}' or '{PS}', got {self.variant!r}")
-        if not (0 < self.fraction < 1):
-            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
+        self.check_fraction(self.fraction)
+
+    @staticmethod
+    def check_fraction(fraction) -> None:
+        """Raise ValueError unless the fraction, or each entry of an array, lies in (0, 1)."""
+        # A float in range passes on a plain comparison: ndarray.any() costs microseconds.
+        if isinstance(fraction, float) and 0 < fraction < 1:
+            return
+        f = np.asarray(fraction)
+        outside = ~((0 < f) & (f < 1))
+        if outside.any():
+            raise ValueError(f"fraction must lie in (0, 1), got {f[outside] if f.ndim else fraction}")
 
 
 # TS splits each block in time, PS each received signal in power; these
@@ -255,7 +272,7 @@ def config_template() -> str:
         lines.append(f"{f.key} = {f.default:g}  # [{f.unit}] {f.description}")
     lines += [
         "",
-        "scheme = both  # [ts|ps|both] energy-harvesting scheme(s) to run",
+        f"scheme = {DEFAULT_SCHEME}  # [{'|'.join(SCHEME_SELECTORS)}] energy-harvesting scheme(s) to run",
         "fraction = auto  # [-] harvesting fraction in (0,1), or 'auto' to",
         "                 # optimize it for the no-covert-transmission rate",
         "",
@@ -263,21 +280,32 @@ def config_template() -> str:
     return "\n".join(lines)
 
 
-def parse_config(text: str) -> tuple[SystemParams, str | None, float | str]:
+def parse_fraction(text: str) -> float | str:
+    """A fraction setting: the literal 'auto', or a number SchemeConfig accepts."""
+    if text == "auto":
+        return text
+    try:
+        fraction = float(text)
+    except ValueError:
+        raise ValueError(f"fraction must be a number or 'auto', got {text!r}") from None
+    SchemeConfig.check_fraction(fraction)
+    return fraction
+
+
+def parse_config(text: str) -> tuple[SystemParams, str | None, float | str | None]:
     """Parse parameter-file text.
 
     Returns:
-        (params, scheme, fraction) where scheme is 'ts', 'ps', 'both' or
-        None when the text has no scheme key, and fraction is a float or the
-        literal string 'auto'.
+        (params, scheme, fraction) where scheme is a SCHEME_SELECTORS key
+        and fraction a parse_fraction value, each None when the text does
+        not set it.
 
     Raises:
         ConfigError: on unknown keys, bad values or missing assignments,
             with the 1-based line number.
     """
     raw: dict[str, float] = {}
-    scheme = None
-    fraction: float | str = "auto"
+    scheme = fraction = None
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -288,20 +316,15 @@ def parse_config(text: str) -> tuple[SystemParams, str | None, float | str]:
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if key == "scheme":
-            if value not in (TS, PS, "both"):
-                raise ConfigError(f"scheme must be 'ts', 'ps' or 'both', got {value!r}", line_no)
+            if value not in SCHEME_SELECTORS:
+                raise ConfigError(f"scheme must be one of {'|'.join(SCHEME_SELECTORS)}, got {value!r}", line_no)
             scheme = value
             continue
         if key == "fraction":
-            if value == "auto":
-                fraction = "auto"
-            else:
-                try:
-                    fraction = float(value)
-                except ValueError:
-                    raise ConfigError(f"fraction must be a number or 'auto', got {value!r}", line_no) from None
-                if not (0 < fraction < 1):
-                    raise ConfigError(f"fraction must lie in (0, 1), got {fraction}", line_no)
+            try:
+                fraction = parse_fraction(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), line_no) from None
             continue
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown key {key!r}", line_no)
@@ -318,7 +341,7 @@ def parse_config(text: str) -> tuple[SystemParams, str | None, float | str]:
     return params, scheme, fraction
 
 
-def load_config(path) -> tuple[SystemParams, str | None, float | str]:
+def load_config(path) -> tuple[SystemParams, str | None, float | str | None]:
     """Read and parse a parameter file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

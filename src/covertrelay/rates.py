@@ -467,11 +467,6 @@ def _lanes(values) -> SimpleNamespace:
     return SimpleNamespace(**{name: col[:, None] for name, col in zip(_LANE_FIELDS, np.array(values).T)})
 
 
-def _lane_scheme(variant: str, fractions) -> SimpleNamespace:
-    # SchemeConfig stand-in holding a fraction column.
-    return SimpleNamespace(variant=variant, fraction=np.asarray(fractions, dtype=float)[:, None])
-
-
 def _h0_roots(p, r, slopes=False):
     """h at both roots of the h0 terms, for the eta0 downlink coefficients p and r.
 
@@ -584,23 +579,21 @@ def _covert_lanes(keys, variant: str) -> list[RateResult]:
     if not keys:
         return []
     values, fractions, eta1 = (np.array(col) for col in zip(*keys))
-    live = eta1 != _lanes(values).eta0[:, 0]
-    sums = iter([])
+    # Checks every fraction before any evaluation.
+    prefactor = effective_rate_prefactor(SchemeConfig(variant, fractions))
+    live = eta1 != values[:, _LANE_FIELDS.index("eta0")]
+    fine, err = np.zeros(len(keys)), np.zeros(len(keys))
     if live.any():
-        sub, scheme, eta1_col = _lanes(values[live]), _lane_scheme(variant, fractions[live]), eta1[live, None]
+        sub, scheme, eta1_col = _lanes(values[live]), SchemeConfig(variant, fractions[live, None]), eta1[live, None]
         probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
         start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
         first = start.min()
         c = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
         node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
         rows = zip(_full_rows(node_values, start), rounding, start, tail)
-        sums = iter([_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows])
-    results = []
-    for fraction, has_surplus in zip(fractions, live):
-        fine, err = next(sums) if has_surplus else (0.0, 0.0)
-        psi = effective_rate_prefactor(SchemeConfig(variant, float(fraction))) * fine
-        results.append(RateResult(c_avg=fine, psi=psi, quad_error=err))
-    return results
+        fine[live], err[live] = zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows])
+    psi = prefactor * fine
+    return [RateResult(c_avg=c, psi=p, quad_error=e) for c, p, e in zip(fine.tolist(), psi.tolist(), err.tolist())]
 
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
@@ -657,7 +650,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the ln z derivatives of h (_h0_roots with slopes) and those of ln z in
     v. All three row sums start at the lane's first node for the rate.
     """
-    scheme = _lane_scheme(variant, f)
+    scheme = SchemeConfig(variant, f[:, None])
     probe = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, _outer_nodes(lanes, _PROBE))
     start = _h0_start(probe.p.T, probe.r.T)
     draw = _outer_nodes(lanes, slice(start.min(), None))
@@ -670,7 +663,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     else:
         # z1 scales as 1/f, and ln z2 = ln z1 - ln r with r = N / (N + (1 - f) a),
         # N the relay noise: k = d ln r / df and dk/df in closed form.
-        fc = f[:, None]
+        fc = scheme.fraction
         g = fc * (1.0 - fc)  # df/dv
         a = relaying.link_gains(lanes, draw).a
         noise = relay_noise_power(scheme, lanes.sigma2_ra, lanes.sigma2_rc)
@@ -691,7 +684,21 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def optimize_harvest_fractions(points, variant: str) -> np.ndarray:
-    """optimize_harvest_fraction at many points, as one lock-step search.
+    """Harvesting fraction maximizing the no-covert effective forwarded rate J, per point.
+
+    The search (_newton_search) runs on v = logit(fraction) over (1e-3,
+    1 - 1e-3). J vanishes at both ends of (0, 1), so its maximum is interior;
+    for PS at high SNR it can lie above 1 - 1e-3, and the search then returns
+    that bound. A local search finds the maximum because J is unimodal.
+
+    For TS: with w = f / (1 - f) the prefactor is (1 - f)/2 = 1/(2(1 + w))
+    and the harvest coefficient is 2w, so J = H(2w) / (2(1 + w)), where H(c)
+    is the forwarded rate at harvest coefficient c. Per realization snr_h0
+    is a concave increasing linear-fractional function of c, so H is
+    concave with H(0) = 0. J'(w) has the sign of
+    phi(w) = 2 H'(2w)(1 + w) - H(2w), and phi'(w) = 4 H''(2w)(1 + w) <= 0,
+    so J' changes sign at most once, in w and so in v = ln w. For PS there
+    is no such proof; the tests check it against a fine grid.
 
     Points with equal _LANE_FIELDS share one lane. Every iteration evaluates
     dJ/dv and d2J/dv2 for all unconverged lanes in one batched call, and a
@@ -719,7 +726,7 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
     v_lo, v_hi = math.log(f_lo / (1.0 - f_lo)), math.log(f_hi / (1.0 - f_hi))
     out = np.empty(n)
     idx = np.arange(n)
-    v = np.full(n, _SEARCH_START[variant])
+    v = np.full(n, _SEARCH_START.get(variant, 0.0))  # _h0_slopes' SchemeConfig rejects other variants
     f = 1.0 / (1.0 + np.exp(-v))
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     sub = lanes
@@ -744,26 +751,3 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
         v, f = v_next, f_next
     out[idx] = f
     return out
-
-
-def optimize_harvest_fraction(params: SystemParams, variant: str) -> float:
-    """Harvesting fraction maximizing the no-covert effective forwarded rate.
-
-    Safeguarded Newton on J'(v) = 0 over (1e-3, 1 - 1e-3), with v the logit
-    of the fraction: J' and J'' come from one evaluation of h and its ln z
-    derivatives, and the search stops once a Newton step is below 1e-4 in
-    v. The objective vanishes at both ends of (0, 1), so the maximum is
-    interior; for PS at high SNR it can lie above 1 - 1e-3, and the search
-    then returns that bound. A local search finds the maximum because the
-    objective is unimodal.
-
-    For TS: with w = f / (1 - f) the prefactor is (1 - f)/2 = 1/(2(1 + w))
-    and the harvest coefficient is 2w, so J = H(2w) / (2(1 + w)), where H(c)
-    is the forwarded rate at harvest coefficient c. Per realization snr_h0
-    is a concave increasing linear-fractional function of c, so H is
-    concave with H(0) = 0. J'(w) has the sign of
-    phi(w) = 2 H'(2w)(1 + w) - H(2w), and phi'(w) = 4 H''(2w)(1 + w) <= 0,
-    so J' changes sign at most once, in w and so in v = ln w. For PS there
-    is no such proof; the tests check it against a fine grid.
-    """
-    return float(optimize_harvest_fractions([params], variant)[0])

@@ -188,7 +188,7 @@ def test_criterion_7_fig4_kink_and_limits():
     params = default_params()
     grid = ex.fig4_eta0_grid(params.eta_u)
     step = grid[1] - grid[0]
-    rows = ex.run_fig4(params, fraction=0.5, scheme_selector="both")
+    rows = ex.run_fig4(params, fraction=0.5, variants=(TS, PS))
     for variant in ("ts", "ps"):
         for epsilon in (0.1, 0.2):
             sub = [r for r in rows if r["scheme"] == variant and r["epsilon"] == epsilon]
@@ -209,7 +209,7 @@ def test_criterion_7_fig4_kink_and_limits():
         assert paired
         assert max(abs(a - b) for a, b in paired) <= 1e-9
     # A one-scheme run gives that scheme's rows of the two-scheme run.
-    assert ex.run_fig4(params, fraction=0.5, scheme_selector="ts") == [r for r in rows if r["scheme"] == "ts"]
+    assert ex.run_fig4(params, fraction=0.5, variants=(TS,)) == [r for r in rows if r["scheme"] == "ts"]
     _report(7, "kink within one grid step, endpoints <= 1e-6, post-kink curves overlap 1e-9",
             time.monotonic() - start)
 

@@ -106,6 +106,28 @@ def test_validate_rejects_zero_mc_blocks(capsys):
     assert capsys.readouterr().err == "error: n_blocks must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("fraction", ["abc", "1.5", "-0.5", "0", "nan"])
+@pytest.mark.parametrize("argv", [["fig2"], ["fig3"], ["fig4"], ["fig6"],
+                                  ["sweep", "--param", "Pa", "--values", "0"], ["validate"]],
+                         ids=["fig2", "fig3", "fig4", "fig6", "sweep", "validate"])
+def test_bad_fraction_is_one_error_line(capsys, argv, fraction):
+    # Every command reads --fraction with the one rule SchemeConfig applies.
+    assert main([*argv, "--fraction", fraction, "--mc-blocks", "100"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: fraction must ")
+
+
+@pytest.mark.parametrize("param,value", [("m", "nan"), ("Pa", "inf"), ("d_ar", "inf")])
+def test_sweep_rejects_non_finite_parameters(capsys, param, value):
+    assert main(["sweep", "--param", param, "--values", value, "--fraction", "0.5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "finite" in line
+
+
 @pytest.mark.parametrize(
     "argv",
     [

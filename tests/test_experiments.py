@@ -3,7 +3,7 @@ import pytest
 
 from covertrelay import solve_phi_epsilon
 from covertrelay import experiments as ex
-from covertrelay.params import CONFIG_FIELDS
+from covertrelay.params import CONFIG_FIELDS, TS
 
 
 def _by(rows, **filters):
@@ -89,14 +89,23 @@ PARAM_COLUMNS = [
 def test_every_config_key_sweeps_with_the_table_columns(params):
     assert [f.column for f in CONFIG_FIELDS.values()] == PARAM_COLUMNS
     for key, field in CONFIG_FIELDS.items():
-        rows = ex.run_sweep(params, key, [field.default], fraction=0.5, scheme_selector="ts")
+        rows = ex.run_sweep(params, key, [field.default], fraction=0.5, variants=(TS,))
         header = ex.csv_bytes(rows).split(b"\r\n")[0].decode().split(",")
         assert header[-len(PARAM_COLUMNS):] == PARAM_COLUMNS
         assert rows[0]["swept_param"] == key
 
 
+@pytest.mark.parametrize("fraction", [0.5, "auto"])
+def test_recipes_reject_a_bad_variant(params, fraction):
+    for run in (ex.run_fig2, ex.run_fig3):
+        with pytest.raises(ValueError, match="variant must be"):
+            run(params, fraction=fraction, variants=("xx",))
+    with pytest.raises(ValueError, match="variant must be"):
+        ex.run_sweep(params, "Pa", [20.0], fraction=fraction, variants=("both",))
+
+
 def test_sweep_fraction(params):
-    rows = ex.run_sweep(params, "fraction", [0.2, 0.5], scheme_selector="ts")
+    rows = ex.run_sweep(params, "fraction", [0.2, 0.5], variants=(TS,))
     assert [r["fraction"] for r in rows] == [0.2, 0.5]
 
 
@@ -111,7 +120,7 @@ def test_resolve_fractions_modes(params):
 
 
 def test_csv_output_format(params):
-    rows = ex.run_sweep(params, "eta0", [0.3, 0.4], fraction=0.5, scheme_selector="ts")
+    rows = ex.run_sweep(params, "eta0", [0.3, 0.4], fraction=0.5, variants=(TS,))
     data = ex.csv_bytes(rows)
     lines = data.decode("utf-8").split("\r\n")
     assert lines[0].startswith("scheme,fraction,swept_param")

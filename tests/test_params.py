@@ -84,6 +84,46 @@ def test_scheme_config_validation():
         SchemeConfig(PS, 1.0)
 
 
+@pytest.mark.parametrize("key", list(cp.CONFIG_FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_system_params_rejects_non_finite_fields(key, value):
+    with pytest.raises(ValueError, match=key if key != "m" else "path-loss exponent"):
+        cp.default_params(**{key: value})
+
+
+def test_scheme_config_checks_every_entry_of_a_fraction_column():
+    column = np.array([0.2, 0.5, 0.9])[:, None]
+    assert SchemeConfig(PS, column).fraction is column
+    column[1] = 1.5
+    with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 1\), got \[1.5\]$"):
+        SchemeConfig(TS, column)
+    with pytest.raises(ValueError, match=r"got \[nan\]$"):
+        SchemeConfig(PS, np.array([[0.5], [math.nan]]))
+    # Ints and numpy scalars are checked like floats.
+    SchemeConfig(TS, np.float32(0.5))
+    SchemeConfig(PS, np.float64(0.25))
+    for bad in (1, 0, np.float32(2.0), np.int64(-1), math.nan):
+        with pytest.raises(ValueError, match=rf"^fraction must lie in \(0, 1\), got {bad}$"):
+            SchemeConfig(TS, bad)
+
+
+@pytest.mark.parametrize("text, expected", [("auto", "auto"), ("0.25", 0.25), (" 1e-3", 1e-3)])
+def test_parse_fraction(text, expected):
+    assert cp.parse_fraction(text) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abc", "fraction must be a number or 'auto', got 'abc'"),
+    ("1.5", "fraction must lie in (0, 1), got 1.5"),
+    ("nan", "fraction must lie in (0, 1), got nan"),
+    ("Auto", "fraction must be a number or 'auto', got 'Auto'"),
+])
+def test_parse_fraction_errors(text, message):
+    with pytest.raises(ValueError) as err:
+        cp.parse_fraction(text)
+    assert str(err.value) == message
+
+
 def test_channel_draw_rejects_negative():
     with pytest.raises(ValueError):
         ChannelDraw(-1.0, 0.5)
@@ -134,6 +174,8 @@ def test_parse_config_overrides_and_units():
         ("Pa = ten\n", 1),
         ("scheme = xx\n", 1),
         ("\n\nfraction = 1.5\n", 3),
+        ("fraction = nan\n", 1),
+        ("scheme = ts\nfraction = abc\n", 2),
         ("Pa = 10\nT_block = 1\n", 2),  # T cancels in every formula; not a parameter
     ],
 )

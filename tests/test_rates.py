@@ -19,7 +19,6 @@ from covertrelay import (
     max_effective_covert_rate,
     min_detection_error,
     optimal_eta1,
-    optimize_harvest_fraction,
     simulate_covert_rate,
 )
 from covertrelay import rates, relaying
@@ -232,7 +231,7 @@ def test_psi_star_nondecreasing_in_pa(params, ts):
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 def test_optimize_harvest_fraction_local_optimum(params, variant):
-    best = optimize_harvest_fraction(params, variant)
+    best = optimize_harvest_fractions([params], variant)[0]
     assert 0.0 < best < 1.0
 
     def objective(f):
@@ -245,14 +244,14 @@ def test_optimize_harvest_fraction_local_optimum(params, variant):
         probe = min(max(best + delta, 1e-4), 1.0 - 1e-4)
         assert j_best >= objective(probe) - 1e-12
     # deterministic search
-    assert optimize_harvest_fraction(params, variant) == best
+    assert optimize_harvest_fractions([params], variant)[0] == best
 
 
 def test_ts_objective_vanishes_at_boundaries(params):
     def objective(f):
         return (1.0 - f) / 2.0 * expected_rate_h0(params, SchemeConfig(TS, f))
 
-    interior = objective(optimize_harvest_fraction(params, "ts"))
+    interior = objective(optimize_harvest_fractions([params], "ts")[0])
     assert objective(1e-6) < 1e-3 * interior
     assert objective(1.0 - 1e-9) < 1e-3 * interior
 
@@ -292,14 +291,14 @@ def _mixed_start_points(p):
 @settings(max_examples=12, deadline=None)
 @given(p=domain_params)
 def test_optimized_fraction_beats_fine_grid(variant, p):
-    # optimize_harvest_fraction is a local search: it relies on the
+    # optimize_harvest_fractions is a local search: it relies on the
     # objective having a single peak (proved for TS in its docstring).
     def objective(f):
         scheme = SchemeConfig(variant, f)
         pre = (1.0 - f) / 2.0 if variant == "ts" else 0.5
         return pre * expected_rate_h0(p, scheme)
 
-    f_star = optimize_harvest_fraction(p, variant)
+    f_star = optimize_harvest_fractions([p], variant)[0]
     grid = np.linspace(0.001, 0.999, 999)  # ends at the search bounds
     values = [objective(f) for f in grid]
     peak = int(np.argmax(values))
@@ -343,7 +342,7 @@ def test_lane_search_reaches_scipy_bounded_brent(variant, points):
     for p, f in zip(points, got):
         objective = _fraction_objective(p, variant)
         assert objective(f) >= (1.0 - 1e-12) * objective(_scipy_fraction(objective))
-    assert [optimize_harvest_fraction(p, variant) for p in points] == got.tolist()
+    assert [optimize_harvest_fractions([p], variant)[0] for p in points] == got.tolist()
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
@@ -445,6 +444,16 @@ def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
     assert n_batched == min(n_single, 1)  # one warning covers every flagged lane
 
 
+def test_lane_fractions_are_checked_before_any_evaluation(params):
+    # A fraction of 1.5 would reach np.log through a negative PS share first.
+    with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 1\), got \[1.5\]$"):
+        average_covert_rates([params, params], "ps", [0.5, 1.5], [0.7, 0.7])
+    with pytest.raises(ValueError, match="variant must be"):
+        average_covert_rates([params], "xx", [0.5], [0.7])
+    with pytest.raises(ValueError, match="variant must be"):
+        optimize_harvest_fractions([params], "xx")
+
+
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 def test_batched_covert_rate_branches(params, variant):
     points = [params, params.with_updates(Pa=1.6, eta0=0.3), params, params.with_updates(d_ar=4.0)]
@@ -487,7 +496,7 @@ def test_fraction_search_at_a_carrier_where_every_h_is_near():
     # asymptotic branch, where _h once returned h flattened and the row
     # sums failed.
     for variant in (TS, PS):
-        f = optimize_harvest_fraction(default_params(fc=1e-24), variant)
+        f = optimize_harvest_fractions([default_params(fc=1e-24)], variant)[0]
         assert 1e-3 <= f <= 1.0 - 1e-3
 
 
