@@ -45,9 +45,10 @@ def statistic_scale(params: SystemParams, scheme: SchemeConfig, eta: float) -> f
 
 
 def _exceedance(tau, sigma2_a: float, k: float, lam: float):
-    # P[K*|h|^4 + sigma2_a >= tau] for tau > sigma2_a, |h|^2 ~ Exp(lam).
+    # P[K*|h|^4 + sigma2_a >= tau], |h|^2 ~ Exp(lam). The clamp makes it exactly 1 at
+    # and below the noise floor (alpha = 1, beta = 0), also where K underflows to 0.
     d = np.maximum(np.asarray(tau, dtype=float) - sigma2_a, 0.0)
-    return np.exp(-np.sqrt(d / k) / lam)
+    return np.exp(-np.sqrt(np.divide(d, k, out=np.zeros_like(d), where=d != 0)) / lam)
 
 
 def false_alarm(params: SystemParams, scheme: SchemeConfig, tau):
@@ -56,24 +57,14 @@ def false_alarm(params: SystemParams, scheme: SchemeConfig, tau):
     Equals 1 for any threshold at or below the receiver noise floor.
     """
     k0 = statistic_scale(params, scheme, params.eta0)
-    tau = np.asarray(tau, dtype=float)
-    out = np.where(
-        tau <= params.sigma2_a,
-        1.0,
-        _exceedance(tau, params.sigma2_a, k0, params.lambda_ar),
-    )
+    out = _exceedance(tau, params.sigma2_a, k0, params.lambda_ar)
     return out if out.ndim else float(out)
 
 
 def miss_detection(params: SystemParams, scheme: SchemeConfig, eta1: float, tau):
     """Miss-detection rate: deciding 'no covert transmission' when there is."""
     k1 = statistic_scale(params, scheme, eta1)
-    tau = np.asarray(tau, dtype=float)
-    out = np.where(
-        tau <= params.sigma2_a,
-        0.0,
-        1.0 - _exceedance(tau, params.sigma2_a, k1, params.lambda_ar),
-    )
+    out = 1.0 - _exceedance(tau, params.sigma2_a, k1, params.lambda_ar)
     return out if out.ndim else float(out)
 
 

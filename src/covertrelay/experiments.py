@@ -238,53 +238,33 @@ def run_sweep(
             rate = rates.average_covert_rate(point, scheme, eta1_star)
             if eta1_star > point.eta0:
                 tau_star = detection.optimal_threshold(params=point, scheme=scheme, eta1=eta1_star)
-                xi_star = detection.min_detection_error(point.eta0 / eta1_star)
             else:
                 tau_star = float("nan")
-                xi_star = 1.0
             rows.append({
                 "scheme": variant,
                 "fraction": scheme.fraction,
                 "swept_param": param_name,
                 "swept_value": float(value),
                 "tau_star_w": tau_star,
-                "xi_star": xi_star,
+                "xi_star": detection.min_detection_error(point.eta0 / eta1_star),
                 **_rate_outputs(point, eta1_star, binding, rate),
                 **params_columns(point),
             })
     return rows
 
 
-_FLOAT_SPEC = f".{FLOAT_DIGITS}g"
-
-
-def _format_float(value) -> str:
-    return format(value, _FLOAT_SPEC)
-
-
-# Exact-type dispatch for the cell types the recipes emit (float, np.float64,
-# int, str); anything else is written with str.
-_CELL_FORMATS = {float: _format_float, np.float64: _format_float}
-
-
-def _format_value(value) -> str:
-    return _CELL_FORMATS.get(type(value), str)(value)
-
-
-def write_csv(fileobj, rows: list[dict]) -> None:
-    """Serialize rows (shared schema) as RFC-4180 CSV with a header row."""
+def csv_bytes(rows: list[dict]) -> bytes:
+    """Rows (shared schema) as UTF-8 RFC-4180 CSV with a header row."""
     if not rows:
         raise ValueError("no rows to write")
     header = list(rows[0].keys())
-    writer = csv.writer(fileobj, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    spec = f".{FLOAT_DIGITS}g"
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
         if list(row.keys()) != header:
             raise ValueError("row schema mismatch")
-        writer.writerow([_format_value(row[key]) for key in header])
-
-
-def csv_bytes(rows: list[dict]) -> bytes:
-    buf = io.StringIO()
-    write_csv(buf, rows)
+        # csv.writer would write np.float64, a float subclass, through repr.
+        writer.writerow([format(v, spec) if type(v) in (float, np.float64) else v for v in row.values()])
     return buf.getvalue().encode("utf-8")

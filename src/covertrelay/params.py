@@ -24,8 +24,11 @@ DEFAULT_SCHEME = "both"
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """Convert a power in dBm to watts."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """Convert a power in dBm to watts; ValueError above about 3112 dBm, where watts overflow."""
+    try:
+        return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {p_dbm} dBm is not finite in watts") from None
 
 
 def path_loss(d: float, m: float, fc: float) -> float:
@@ -304,7 +307,7 @@ def parse_config(text: str) -> tuple[SystemParams, str | None, float | str | Non
         ConfigError: on unknown keys, bad values or missing assignments,
             with the 1-based line number.
     """
-    raw: dict[str, float] = {}
+    si: dict[str, float] = {}
     scheme = fraction = None
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -329,13 +332,16 @@ def parse_config(text: str) -> tuple[SystemParams, str | None, float | str | Non
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown key {key!r}", line_no)
         try:
-            raw[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"value for {key!r} is not a number: {value!r}", line_no) from None
+        try:
+            si[key] = CONFIG_FIELDS[key].to_si(number)
+        except ValueError as exc:
+            raise ConfigError(f"value for {key!r}: {exc}", line_no) from None
 
-    si = {key: f.to_si(raw.get(key, f.default)) for key, f in CONFIG_FIELDS.items()}
     try:
-        params = SystemParams(**si)
+        params = default_params(**si)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return params, scheme, fraction

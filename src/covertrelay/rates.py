@@ -540,8 +540,8 @@ def _warn_flagged() -> None:
 def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float) -> RateResult:
     """Fading-averaged covert rate C = E[log2(1 + covert snr)].
 
-    A quad_error above QUAD_ERROR_LIMIT flags non-convergence via
-    RateResult.converged and a warning, but the value is still returned.
+    A result that fails RateResult.converged (quad_error above
+    QUAD_ERROR_LIMIT, or NaN) draws a warning but is still returned.
     That happens as eta1 -> eta0, where the signed sum of h terms cancels
     to the size of the surplus; eta1 == eta0 itself gives exactly zero.
     """
@@ -553,9 +553,10 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     start, tail = _covert_start(*(x[_PROBE].tolist() for x in (c.p, c.dp, c.r)))
     values, rounding = _covert_terms(c.p[start:], c.dp[start:], c.r[start:])
     fine, err = _outer_rule(_full_rows(values, start), rounding, start, tail)
-    if err > QUAD_ERROR_LIMIT:
+    result = RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
+    if not result.converged:
         _warn_flagged()
-    return RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
+    return result
 
 
 def average_covert_rates(points, variant: str, fractions, eta1s) -> list[RateResult]:
@@ -623,15 +624,15 @@ def optimal_eta1(params: SystemParams) -> tuple[float, str]:
     The effective covert rate is increasing in eta1, so the optimum sits on
     whichever constraint is tighter: the covertness target (eta1 = eta0 /
     phi_epsilon) or the hardware cap eta_u. Scheme-independent.
+
+    At eta0 == eta_u the budget limit is 0: epsilon > 0 skips the covertness
+    branch, and epsilon = 0 gives eta1 = eta0, which is not below the cap.
     """
     eta0, eta_u = params.eta0, params.eta_u
-    if eta0 == eta_u:
-        return eta_u, BINDING_HARVESTER
     if params.epsilon <= covertness_budget_limit(eta0, eta_u):
         eta1 = eta0 / detection.solve_phi_epsilon(params.epsilon)
         if eta1 < eta_u:
             return eta1, BINDING_COVERTNESS
-        return eta_u, BINDING_HARVESTER
     return eta_u, BINDING_HARVESTER
 
 

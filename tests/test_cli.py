@@ -70,10 +70,12 @@ def test_config_file_is_used(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("Pa = ten\n", encoding="utf-8")
-    assert main(["fig3", "--config", str(cfg)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "line 1" in err
+    # Not a number, and a dBm value whose watts overflow.
+    for text, line_no in [("Pa = ten\n", 1), ("d_ar = 5\nPa = 4000\n", 2)]:
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["fig3", "--config", str(cfg)]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: line {line_no}: value for 'Pa'")
 
 
 def test_fig2_rejects_zero_mc_blocks(capsys):
@@ -119,7 +121,9 @@ def test_bad_fraction_is_one_error_line(capsys, argv, fraction):
     assert line.startswith("error: fraction must ")
 
 
-@pytest.mark.parametrize("param,value", [("m", "nan"), ("Pa", "inf"), ("d_ar", "inf")])
+# 4000 dBm is finite in dBm but overflows in watts.
+@pytest.mark.parametrize("param,value", [("m", "nan"), ("Pa", "inf"), ("d_ar", "inf"), ("Pa", "4000"),
+                                         ("sigma2_ra", "4000")])
 def test_sweep_rejects_non_finite_parameters(capsys, param, value):
     assert main(["sweep", "--param", param, "--values", value, "--fraction", "0.5"]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -49,6 +49,23 @@ def test_false_alarm_piecewise(params, ts):
     assert false_alarm(params, ts, 1e6) == pytest.approx(0.0, abs=1e-300)
 
 
+def test_rates_at_the_noise_floor_follow_the_piecewise_form(params, ts):
+    # alpha = 1 and beta = 0 at and below the floor come from the clamp in
+    # the tail form alone, on arrays and where K underflows to 0.
+    s = params.sigma2_a
+    tau = np.array([-np.inf, 0.5 * s, s, np.nextafter(s, np.inf), 2.0 * s, np.inf])
+    k0, k1 = statistic_scale(params, ts, params.eta0), statistic_scale(params, ts, 0.7)
+    with np.errstate(invalid="ignore"):
+        a, b = (np.exp(-np.sqrt((tau - s) / k) / params.lambda_ar) for k in (k0, k1))
+    assert (false_alarm(params, ts, tau) == np.where(tau <= s, 1.0, a)).all()
+    assert (miss_detection(params, ts, 0.7, tau) == np.where(tau <= s, 0.0, 1.0 - b)).all()
+    tiny = params.with_updates(Pa=1e-320)
+    assert statistic_scale(tiny, ts, tiny.eta0) == statistic_scale(tiny, ts, 0.7) == 0.0
+    floor = tau[tau <= s]
+    assert (false_alarm(tiny, ts, floor) == 1.0).all()
+    assert (miss_detection(tiny, ts, 0.7, floor) == 0.0).all()
+
+
 def test_false_alarm_unit_scale(unit_params):
     # eta0 = 0.5 and phi = 0.5 make the H0 statistic scale exactly 1.
     p = unit_params.with_updates(eta0=0.5)

@@ -78,6 +78,13 @@ def test_sweep_rows(params):
         ex.run_sweep(params, "nonsense", [1.0])
 
 
+@pytest.mark.parametrize("param,value", [("epsilon", 0.0), ("eta0", 0.8)])
+def test_sweep_rows_where_eta1_star_is_eta0(params, param, value):
+    # xi*(1) = 1 exactly, from min_detection_error's near-one branch.
+    rows = ex.run_sweep(params, param, [value], fraction=0.5)
+    assert [(r["eta1_star"], r["xi_star"]) for r in rows] == [(r["eta0"], 1.0) for r in rows]
+
+
 # The CSV parameter-column schema, in order (SI units).
 PARAM_COLUMNS = [
     "Pa_w", "fc_hz", "m", "d_ar_m", "d_rb_m", "lambda_ar", "lambda_rb",
@@ -127,6 +134,9 @@ def test_csv_output_format(params):
     assert len(lines) == len(rows) + 2  # header + rows + trailing newline
     # 12 significant digits on floats
     assert f"{rows[0]['psi_star']:.12g}" in lines[1]
+    # float and np.float64 cells take the float rule; int and str are written as they are.
+    mixed = [{"f": 0.1 + 0.2, "f64": np.float64(1.0) / 3.0, "i": 7, "s": "a,b"}]
+    assert ex.csv_bytes(mixed) == b'f,f64,i,s\r\n0.3,0.333333333333,7,"a,b"\r\n'
 
 
 def test_csv_rejects_mixed_schema():

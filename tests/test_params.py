@@ -177,6 +177,8 @@ def test_parse_config_overrides_and_units():
         ("fraction = nan\n", 1),
         ("scheme = ts\nfraction = abc\n", 2),
         ("Pa = 10\nT_block = 1\n", 2),  # T cancels in every formula; not a parameter
+        ("m = 2\nPa = 4000\n", 2),  # finite in dBm, overflows in watts
+        ("sigma2_a = 4000\n", 1),
     ],
 )
 def test_parse_config_errors_carry_line_numbers(text, line_no):

@@ -171,9 +171,10 @@ def test_optimal_eta1_limits(params):
     eta1, binding = optimal_eta1(params.with_updates(epsilon=0.0))
     assert eta1 == params.eta0 and binding == BINDING_COVERTNESS
 
-    degenerate = params.with_updates(eta0=0.8, eta_u=0.8)
-    eta1, binding = optimal_eta1(degenerate)
-    assert eta1 == 0.8 and binding == BINDING_HARVESTER
+    # eta0 == eta_u: a budget limit of 0 leaves only the cap, epsilon = 0 included.
+    for epsilon in (0.0, 0.1, 1.0):
+        eta1, binding = optimal_eta1(params.with_updates(eta0=0.8, eta_u=0.8, epsilon=epsilon))
+        assert eta1 == 0.8 and binding == BINDING_HARVESTER
 
 
 def test_budget_limit_value_and_identity(params):
@@ -442,6 +443,20 @@ def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
     ])
     assert batched == single
     assert n_batched == min(n_single, 1)  # one warning covers every flagged lane
+
+
+def test_a_nan_quad_error_is_flagged_by_both_entry_points():
+    # At fc = 1e-30 Hz the rate overflows and its error is NaN, which is not
+    # converged: the one-point and the lane call both warn about it.
+    p = default_params(fc=1e-30)
+    calls = [lambda: average_covert_rate(p, SchemeConfig(TS, 0.5), 0.8),
+             lambda: average_covert_rates([p], TS, [0.5], [0.8])[0]]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        assert math.isnan(result.quad_error) and not result.converged
+        assert any("covert-rate quadrature" in str(w.message) for w in caught)
 
 
 def test_lane_fractions_are_checked_before_any_evaluation(params):
