@@ -17,10 +17,12 @@ maximizing the no-covert forwarded rate.
 
 Figs 3-6 run the paper's fixed grids (the FIG* constants below: source
 power, eta0 at two covertness targets, relay position); sweep is the one
-way to evaluate any other grid. fig3, fig4 and fig6 build their point list
-first and then make one fraction search and one covert-rate call per
-scheme over all of it (rates' lane-batched functions); sweep batches its
-fraction search but evaluates rates point by point.
+way to evaluate any other grid. fig3, fig4, fig6 and sweep share one row
+layout (_rate_row). fig3, fig4 and fig6 build their point list first and
+then make one fraction search and one covert-rate call per scheme over all
+of it (rates' lane-batched functions); sweep batches its fraction search
+but keeps one rates.average_covert_rate call per row, only because
+benchmarks/test_benchmark.py counts those calls.
 """
 
 from __future__ import annotations
@@ -64,14 +66,21 @@ def params_columns(params: SystemParams) -> dict:
     return {f.column: getattr(params, key) for key, f in CONFIG_FIELDS.items()}
 
 
-def _rate_outputs(point: SystemParams, eta1_star: float, binding: str, rate: rates.RateResult) -> dict:
+def _rate_row(point: SystemParams, variant: str, fraction: float, extra: dict, optimum: tuple[float, str],
+              rate: rates.RateResult) -> dict:
+    """The rate-recipe row: scheme, fraction, the recipe's extra columns, eta1* and its rates, parameters."""
+    eta1_star, binding = optimum
     return {
+        "scheme": variant,
+        "fraction": fraction,
+        **extra,
         "eta1_star": eta1_star,
         "phi_eps": detection.solve_phi_epsilon(point.epsilon),
         "psi_star": rate.psi,
         "c_avg": rate.c_avg,
         "quad_error": rate.quad_error,
         "binding": binding,
+        **params_columns(point),
     }
 
 
@@ -87,17 +96,9 @@ def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, variant
     for variant in variants:
         fractions = resolve_fractions(points, variant, fraction)
         per_scheme.append((variant, fractions, rates.average_covert_rates(points, variant, fractions, eta1s)))
-    rows = []
-    for i, (point, extra, (eta1_star, binding)) in enumerate(zip(points, extras, optima)):
-        for variant, fractions, results in per_scheme:
-            rows.append({
-                "scheme": variant,
-                "fraction": fractions[i],
-                **extra,
-                **_rate_outputs(point, eta1_star, binding, results[i]),
-                **params_columns(point),
-            })
-    return rows
+    return [_rate_row(point, variant, fractions[i], extra, optimum, results[i])
+            for i, (point, extra, optimum) in enumerate(zip(points, extras, optima))
+            for variant, fractions, results in per_scheme]
 
 
 def run_fig2(
@@ -233,23 +234,16 @@ def run_sweep(
     rows = []
     for i, (value, point) in enumerate(zip(values, points)):
         eta1_star, binding = rates.optimal_eta1(point)
+        xi_star = detection.min_detection_error(point.eta0 / eta1_star)
         for variant in variants:
             scheme = SchemeConfig(variant, fractions[variant][i])
+            # nan where eta1* = eta0, at which the optimal threshold is undefined.
+            tau_star = (detection.optimal_threshold(point, scheme, eta1_star) if eta1_star > point.eta0
+                        else float("nan"))
+            extra = {"swept_param": param_name, "swept_value": float(value), "tau_star_w": tau_star,
+                     "xi_star": xi_star}
             rate = rates.average_covert_rate(point, scheme, eta1_star)
-            if eta1_star > point.eta0:
-                tau_star = detection.optimal_threshold(params=point, scheme=scheme, eta1=eta1_star)
-            else:
-                tau_star = float("nan")
-            rows.append({
-                "scheme": variant,
-                "fraction": scheme.fraction,
-                "swept_param": param_name,
-                "swept_value": float(value),
-                "tau_star_w": tau_star,
-                "xi_star": detection.min_detection_error(point.eta0 / eta1_star),
-                **_rate_outputs(point, eta1_star, binding, rate),
-                **params_columns(point),
-            })
+            rows.append(_rate_row(point, variant, scheme.fraction, extra, (eta1_star, binding), rate))
     return rows
 
 

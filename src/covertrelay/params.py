@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def path_loss(d: float, m: float, fc: float) -> float:
-    """Distance-power path loss gain: (c / (4 pi fc))^2 * d^(-m).
+    """Distance-power path loss gain (c / (4 pi fc))^2 * d^(-m); ValueError unless positive and finite.
 
     Args:
         d: link distance in meters, > 0.
@@ -43,8 +44,13 @@ def path_loss(d: float, m: float, fc: float) -> float:
         raise ValueError(f"distance must be positive, got {d}")
     if fc <= 0:
         raise ValueError(f"carrier frequency must be positive, got {fc}")
-    nu = (SPEED_OF_LIGHT / (4.0 * math.pi * fc)) ** 2
-    return nu * d ** (-m)
+    try:
+        gain = (SPEED_OF_LIGHT / (4.0 * math.pi * fc)) ** 2 * d ** (-m)
+    except OverflowError:
+        gain = math.inf
+    if not 0 < gain < math.inf:
+        raise ValueError(f"path loss at d={d} m, m={m}, fc={fc} Hz is not positive and finite")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -107,13 +113,14 @@ class SystemParams:
             )
         if not (0 <= self.epsilon <= 1):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        self.L_ar, self.L_rb  # cached once per point; path_loss rejects a gain that is not positive and finite
 
-    @property
+    @cached_property
     def L_ar(self) -> float:
         """Path-loss gain of the source-to-relay link (reciprocal link equal)."""
         return path_loss(self.d_ar, self.m, self.fc)
 
-    @property
+    @cached_property
     def L_rb(self) -> float:
         """Path-loss gain of the relay-to-destination link."""
         return path_loss(self.d_rb, self.m, self.fc)

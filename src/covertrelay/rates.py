@@ -32,15 +32,15 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
 * Lanes. A figure grid is evaluated in batched calls
   (optimize_harvest_fractions, average_covert_rates), one lane per
   distinct (SystemParams rate fields, fraction, eta1) point; equal points
-  share a lane. Each lane's scalars are a (lanes, 1) column broadcast
-  against its row of outer nodes, and each row is reduced by the same 1-D
-  dot as a one-point call (a 2-D matrix-vector product rounds differently
-  in the last bit), so every lane equals the one-point result bit for bit,
-  whatever the other lanes' starts. The one-point functions share the
-  kernels but not the lane set-up, which would make each call about a
-  quarter slower (sweep makes one such call per point). The fraction
-  search reduces its rows by row sums, also per lane, all three from the
-  lane's start for the rate.
+  share a lane, evaluated once. Each lane's scalars are a (lanes, 1)
+  column broadcast against its row of outer nodes, and each row is reduced
+  by the same 1-D dot as a one-point call (a 2-D matrix-vector product
+  rounds differently in the last bit), so every lane equals the one-point
+  result bit for bit, whatever the other lanes' starts. The one-point
+  functions share the kernels but not the lane set-up, which would make
+  each call about a quarter slower (sweep makes one such call per row).
+  The fraction search reduces its rows by row sums, also per lane, all
+  three from the lane's start for the rate.
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
   v = logit(fraction), advancing all lanes in lock step: each iteration
   makes one h evaluation for the unconverged lanes and takes dJ/dv and
@@ -567,25 +567,17 @@ def average_covert_rates(points, variant: str, fractions, eta1s) -> list[RateRes
     call bit for bit; one warning covers every flagged lane.
     """
     keys = [(v, float(f), float(e)) for v, f, e in zip(_lane_values(points), fractions, eta1s)]
-    unique = list(dict.fromkeys(keys))
-    found = dict(zip(unique, _covert_lanes(unique, variant)))
-    results = [found[k] for k in keys]
-    if any(not r.converged for r in results):
-        _warn_flagged()
-    return results
-
-
-def _covert_lanes(keys, variant: str) -> list[RateResult]:
-    """RateResult per (lane values, fraction, eta1) key."""
     if not keys:
         return []
-    values, fractions, eta1 = (np.array(col) for col in zip(*keys))
+    unique = list(dict.fromkeys(keys))
+    values, lane_fractions, eta1 = (np.array(col) for col in zip(*unique))
     # Checks every fraction before any evaluation.
-    prefactor = effective_rate_prefactor(SchemeConfig(variant, fractions))
+    prefactor = effective_rate_prefactor(SchemeConfig(variant, lane_fractions))
     live = eta1 != values[:, _LANE_FIELDS.index("eta0")]
-    fine, err = np.zeros(len(keys)), np.zeros(len(keys))
+    fine, err = np.zeros(len(unique)), np.zeros(len(unique))
     if live.any():
-        sub, scheme, eta1_col = _lanes(values[live]), SchemeConfig(variant, fractions[live, None]), eta1[live, None]
+        sub, scheme = _lanes(values[live]), SchemeConfig(variant, lane_fractions[live, None])
+        eta1_col = eta1[live, None]
         probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
         start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
         first = start.min()
@@ -593,8 +585,12 @@ def _covert_lanes(keys, variant: str) -> list[RateResult]:
         node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
         rows = zip(_full_rows(node_values, start), rounding, start, tail)
         fine[live], err[live] = zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows])
-    psi = prefactor * fine
-    return [RateResult(c_avg=c, psi=p, quad_error=e) for c, p, e in zip(fine.tolist(), psi.tolist(), err.tolist())]
+    found = {key: RateResult(c_avg=c, psi=p, quad_error=e)
+             for key, c, p, e in zip(unique, fine.tolist(), (prefactor * fine).tolist(), err.tolist())}
+    results = [found[k] for k in keys]
+    if any(not r.converged for r in results):
+        _warn_flagged()
+    return results
 
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:

@@ -70,12 +70,15 @@ def test_config_file_is_used(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # Not a number, and a dBm value whose watts overflow.
-    for text, line_no in [("Pa = ten\n", 1), ("d_ar = 5\nPa = 4000\n", 2)]:
+    # Not a number, a dBm value whose watts overflow, and a path loss that
+    # underflows to 0 (found when the parameters are built, so no line).
+    for text, prefix in [("Pa = ten\n", "line 1: value for 'Pa'"),
+                         ("d_ar = 5\nPa = 4000\n", "line 2: value for 'Pa'"),
+                         ("m = 1e6\n", "path loss at d=10.0 m, m=1000000.0, fc=900000000.0 Hz")]:
         cfg.write_text(text, encoding="utf-8")
         assert main(["fig3", "--config", str(cfg)]) == EXIT_USAGE
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"config error: line {line_no}: value for 'Pa'")
+        assert line.startswith(f"config error: {prefix}")
 
 
 def test_fig2_rejects_zero_mc_blocks(capsys):
@@ -121,9 +124,11 @@ def test_bad_fraction_is_one_error_line(capsys, argv, fraction):
     assert line.startswith("error: fraction must ")
 
 
-# 4000 dBm is finite in dBm but overflows in watts.
+# 4000 dBm is finite in dBm but overflows in watts. The path loss overflows
+# at d_ar = 1e-300 m and at fc = 1e-300 MHz, and underflows to 0 at m = 1e6.
 @pytest.mark.parametrize("param,value", [("m", "nan"), ("Pa", "inf"), ("d_ar", "inf"), ("Pa", "4000"),
-                                         ("sigma2_ra", "4000")])
+                                         ("sigma2_ra", "4000"), ("d_ar", "1e-300"), ("fc", "1e-300"),
+                                         ("m", "1e6")])
 def test_sweep_rejects_non_finite_parameters(capsys, param, value):
     assert main(["sweep", "--param", param, "--values", value, "--fraction", "0.5"]) == EXIT_USAGE
     captured = capsys.readouterr()

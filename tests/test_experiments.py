@@ -78,6 +78,24 @@ def test_sweep_rows(params):
         ex.run_sweep(params, "nonsense", [1.0])
 
 
+def _shared_columns(rows, other):
+    shared = [key for key in rows[0] if key in other[0]]
+    return [[r[key] for key in shared] for r in rows]
+
+
+def test_sweep_rows_equal_the_figure_rows_at_the_same_points(params):
+    # sweep's one-point rates against the figures' lane-batched ones, through
+    # the one row layout: equal bit for bit on every shared column.
+    fig3 = _by(ex.run_fig3(params), eta0=0.2)
+    sweep = ex.run_sweep(params.with_updates(eta0=0.2), "Pa", list(ex.FIG3_PA_DBM), fraction="auto")
+    assert len(sweep) == len(fig3) == 30
+    assert _shared_columns(sweep, fig3) == _shared_columns(fig3, sweep)
+    fig4 = _by(ex.run_fig4(params, fraction=0.5), epsilon=0.1)
+    sweep = ex.run_sweep(params, "eta0", list(ex.fig4_eta0_grid(params.eta_u)), fraction=0.5)
+    assert len(sweep) == len(fig4) == 400
+    assert _shared_columns(sweep, fig4) == _shared_columns(fig4, sweep)
+
+
 @pytest.mark.parametrize("param,value", [("epsilon", 0.0), ("eta0", 0.8)])
 def test_sweep_rows_where_eta1_star_is_eta0(params, param, value):
     # xi*(1) = 1 exactly, from min_detection_error's near-one branch.

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -49,6 +50,13 @@ def test_path_loss_domain_errors():
         path_loss(-1.0, 2.0, 900e6)
     with pytest.raises(ValueError):
         path_loss(1.0, 2.0, 0.0)
+    # Overflow in d^(-m), overflow in the carrier term, underflow to 0.
+    for d, m, fc in [(1e-300, 2.0, 900e6), (10.0, 2.0, 1e-294), (10.0, 1e6, 900e6)]:
+        message = f"path loss at d={d} m, m={m}, fc={fc} Hz is not positive and finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            path_loss(d, m, fc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cp.default_params(d_ar=d, m=m, fc=fc)
 
 
 def test_relay_noise_power_ts_sums():
