@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         elif args.command == "fig6":
             rows = experiments.run_fig6(params, fraction=fraction, variants=variants)
         elif args.command == "sweep":
-            if args.values:
+            if args.values is not None:  # an empty --values= is a bad value, not --linspace
                 values = [float(v) for v in args.values.split(",")]
             else:
                 start, stop, num = args.linspace

@@ -18,17 +18,26 @@ maximizing the no-covert forwarded rate.
 Figs 3-6 run the paper's fixed grids (the FIG* constants below: source
 power, eta0 at two covertness targets, relay position); sweep is the one
 way to evaluate any other grid. fig3, fig4, fig6 and sweep share one row
-layout (_rate_row). fig3, fig4 and fig6 build their point list first and
-then make one fraction search and one covert-rate call per scheme over all
-of it (rates' lane-batched functions); sweep batches its fraction search
-but keeps one rates.average_covert_rate call per row, only because
+layout (_point_rate_rows), which builds a point's parameter columns and
+phi_eps once for all its scheme rows. fig3, fig4 and fig6 build their
+point list and its rates.lane_values first, then make one fraction search
+and one covert-rate call per scheme over all of it (rates' lane-batched
+functions); sweep batches its fraction search but keeps one
+rates.average_covert_rate call per row, only because
 benchmarks/test_benchmark.py counts those calls.
+
+csv_bytes writes the rows column by column and formats each distinct value
+of a column once: a figure's parameter columns are mostly one value, and
+its rows repeat each point's values once per scheme. Values that compare
+and hash equal share that work only where they print alike, so 0.0 and
+-0.0, or 1, 1.0 and True, keep their own text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +45,9 @@ from . import detection, montecarlo, rates, relaying
 from .params import CONFIG_FIELDS, DEFAULT_SCHEME, SCHEME_SELECTORS, SchemeConfig, SystemParams, dbm_to_watts
 
 FLOAT_DIGITS = 12  # significant digits in CSV float fields
+_FLOAT_SPEC = f".{FLOAT_DIGITS}g"
+_FLOAT_TYPES = {float, np.float64}  # cell types written with _FLOAT_SPEC
+_PLAIN_TYPES = {str, int, bool}  # equal values of one of these types print alike
 
 FIG2_ETA1 = 0.7
 FIG2_N_TAU = 201
@@ -47,41 +59,42 @@ FIG6_D_AR = tuple(np.linspace(2.0, 18.0, 33))
 FIG6_PA_DBM = (10.0, 20.0)
 FIG6_TOTAL_DISTANCE = 20.0
 _DEFAULT_VARIANTS = SCHEME_SELECTORS[DEFAULT_SCHEME]
+# params_columns' names and values, in CONFIG_FIELDS order.
+_PARAM_COLUMNS = tuple(f.column for f in CONFIG_FIELDS.values())
+_PARAM_VALUES = attrgetter(*CONFIG_FIELDS)
 
 
-def resolve_fractions(points, variant: str, fraction) -> list[float]:
-    """Turn a fraction setting (float or 'auto') into one value per point.
+def resolve_fractions(lanes, variant: str, fraction) -> list[float]:
+    """Turn a fraction setting (float or 'auto') into one value per lane (rates.lane_values of the points).
 
     'auto' runs one lane-batched search, which evaluates each distinct lane
     once: the objective ignores the covertness target, so an epsilon sweep
     shares one search per point.
     """
     if fraction != "auto":
-        return [float(fraction)] * len(points)
-    return rates.optimize_harvest_fractions(points, variant).tolist()
+        return [float(fraction)] * len(lanes)
+    return rates.optimize_harvest_fractions(lanes, variant).tolist()
 
 
 def params_columns(params: SystemParams) -> dict:
     """Flattened input parameters (SI units) for inclusion in every row."""
-    return {f.column: getattr(params, key) for key, f in CONFIG_FIELDS.items()}
+    return dict(zip(_PARAM_COLUMNS, _PARAM_VALUES(params)))
 
 
-def _rate_row(point: SystemParams, variant: str, fraction: float, extra: dict, optimum: tuple[float, str],
-              rate: rates.RateResult) -> dict:
-    """The rate-recipe row: scheme, fraction, the recipe's extra columns, eta1* and its rates, parameters."""
+def _point_rate_rows(point: SystemParams, optimum: tuple[float, str], schemes) -> list[dict]:
+    """A point's rate rows, one per (variant, fraction, extra columns, RateResult) in schemes.
+
+    The row layout of every rate recipe: scheme, fraction, the recipe's extra
+    columns, eta1* and phi_eps, Psi*, C and quad_error, binding, parameter
+    columns. The columns of the point alone are built once for all its rows.
+    """
     eta1_star, binding = optimum
-    return {
-        "scheme": variant,
-        "fraction": fraction,
-        **extra,
-        "eta1_star": eta1_star,
-        "phi_eps": detection.solve_phi_epsilon(point.epsilon),
-        "psi_star": rate.psi,
-        "c_avg": rate.c_avg,
-        "quad_error": rate.quad_error,
-        "binding": binding,
-        **params_columns(point),
-    }
+    phi_eps = detection.solve_phi_epsilon(point.epsilon)
+    columns = params_columns(point)
+    return [{"scheme": variant, "fraction": fraction, **extra, "eta1_star": eta1_star, "phi_eps": phi_eps,
+             "psi_star": rate.psi, "c_avg": rate.c_avg, "quad_error": rate.quad_error, "binding": binding,
+             **columns}
+            for variant, fraction, extra, rate in schemes]
 
 
 def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, variants) -> list[dict]:
@@ -92,13 +105,16 @@ def _rate_rows(points: list[SystemParams], extras: list[dict], fraction, variant
     """
     optima = [rates.optimal_eta1(p) for p in points]
     eta1s = [eta1 for eta1, _ in optima]
+    lanes = rates.lane_values(points)
     per_scheme = []
     for variant in variants:
-        fractions = resolve_fractions(points, variant, fraction)
-        per_scheme.append((variant, fractions, rates.average_covert_rates(points, variant, fractions, eta1s)))
-    return [_rate_row(point, variant, fractions[i], extra, optimum, results[i])
-            for i, (point, extra, optimum) in enumerate(zip(points, extras, optima))
-            for variant, fractions, results in per_scheme]
+        fractions = resolve_fractions(lanes, variant, fraction)
+        per_scheme.append((variant, fractions, rates.average_covert_rates(lanes, variant, fractions, eta1s)))
+    rows = []
+    for i, (point, extra, optimum) in enumerate(zip(points, extras, optima)):
+        schemes = [(variant, fractions[i], extra, results[i]) for variant, fractions, results in per_scheme]
+        rows += _point_rate_rows(point, optimum, schemes)
+    return rows
 
 
 def run_fig2(
@@ -118,7 +134,8 @@ def run_fig2(
     """
     if n_tau < 2:
         raise ValueError(f"n_tau must be >= 2, got {n_tau}")
-    schemes = [SchemeConfig(v, resolve_fractions([params], v, fraction)[0]) for v in variants]
+    lanes = rates.lane_values([params])
+    schemes = [SchemeConfig(v, resolve_fractions(lanes, v, fraction)[0]) for v in variants]
     deltas = [detection.optimal_threshold(params, s, eta1) - params.sigma2_a for s in schemes]
     relaying._check_eta1(params, eta1)  # optimal_threshold rejects eta1 <= eta0, this eta1 > eta_u
     lo = 0.5 * params.sigma2_a  # below the noise floor, where xi = 1
@@ -224,7 +241,8 @@ def run_sweep(
     elif param_name in CONFIG_FIELDS:
         conv = CONFIG_FIELDS[param_name].to_si
         points = [params.with_updates(**{param_name: conv(float(v))}) for v in values]
-        fractions = {v: resolve_fractions(points, v, fraction) for v in variants}
+        lanes = rates.lane_values(points)
+        fractions = {v: resolve_fractions(lanes, v, fraction) for v in variants}
     else:
         raise ValueError(
             f"unknown sweep parameter {param_name!r}; choose one of "
@@ -235,6 +253,7 @@ def run_sweep(
     for i, (value, point) in enumerate(zip(values, points)):
         eta1_star, binding = rates.optimal_eta1(point)
         xi_star = detection.min_detection_error(point.eta0 / eta1_star)
+        schemes = []
         for variant in variants:
             scheme = SchemeConfig(variant, fractions[variant][i])
             # nan where eta1* = eta0, at which the optimal threshold is undefined.
@@ -242,23 +261,55 @@ def run_sweep(
                         else float("nan"))
             extra = {"swept_param": param_name, "swept_value": float(value), "tau_star_w": tau_star,
                      "xi_star": xi_star}
-            rate = rates.average_covert_rate(point, scheme, eta1_star)
-            rows.append(_rate_row(point, variant, scheme.fraction, extra, (eta1_star, binding), rate))
+            schemes.append((variant, scheme.fraction, extra, rates.average_covert_rate(point, scheme, eta1_star)))
+        rows += _point_rate_rows(point, (eta1_star, binding), schemes)
     return rows
 
 
+def _csv_field(value) -> str:
+    """value as csv.writer writes it among other fields (QUOTE_MINIMAL, CRLF line ends)."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerow((value, None))
+    return buf.getvalue()[:-3]  # the empty second field's ",\r\n"
+
+
+def _column_fields(cells: tuple) -> list[str]:
+    """One CSV column's fields, each distinct value formatted once (the rule is in csv_bytes)."""
+    kinds = set(map(type, cells))
+    if kinds <= _FLOAT_TYPES:
+        text = {v: format(v, _FLOAT_SPEC) for v in dict.fromkeys(cells)}
+        if 0.0 in text:  # 0.0 and -0.0 share a key
+            return [text[v] if v else format(v, _FLOAT_SPEC) for v in cells]
+    elif len(kinds) == 1 and kinds <= _PLAIN_TYPES:
+        text = {v: _csv_field(v) for v in dict.fromkeys(cells)}
+    else:
+        return [format(v, _FLOAT_SPEC) if type(v) in _FLOAT_TYPES else _csv_field(v) for v in cells]
+    if len(text) == 1:  # such as a parameter column of a figure
+        return [*text.values()] * len(cells)
+    return list(map(text.__getitem__, cells))
+
+
 def csv_bytes(rows: list[dict]) -> bytes:
-    """Rows (shared schema) as UTF-8 RFC-4180 CSV with a header row."""
+    """Rows (shared schema) as UTF-8 RFC-4180 CSV with a header row.
+
+    float and np.float64 cells have FLOAT_DIGITS significant digits
+    (csv.writer would write a np.float64 through repr); every other cell is
+    written as csv.writer writes it (QUOTE_MINIMAL). The rows are written
+    column by column, and each distinct value of a column is formatted once.
+    Values that compare and hash equal share that text only where they print
+    alike: float and np.float64 do, but a zero is formatted per cell, since
+    0.0 and -0.0 do not; a column of only str, only int or only bool shares
+    csv.writer's text; any other column, such as 1 beside 1.0 or True, is
+    formatted cell by cell. Every NaN prints as nan.
+    """
     if not rows:
         raise ValueError("no rows to write")
     header = list(rows[0].keys())
-    spec = f".{FLOAT_DIGITS}g"
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(header)
     for row in rows:
         if list(row.keys()) != header:
             raise ValueError("row schema mismatch")
-        # csv.writer would write np.float64, a float subclass, through repr.
-        writer.writerow([format(v, spec) if type(v) in (float, np.float64) else v for v in row.values()])
-    return buf.getvalue().encode("utf-8")
+    columns = [_column_fields(cells) for cells in zip(*(row.values() for row in rows))]
+    lines = [",".join(map(_csv_field, header)), *map(",".join, zip(*columns) if columns else [()] * len(rows))]
+    # csv.writer quotes a lone empty field, so that its line is not blank.
+    blank = '""' if header else ""
+    return ("\r\n".join(line or blank for line in lines) + "\r\n").encode("utf-8")

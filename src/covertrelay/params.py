@@ -9,7 +9,7 @@ keys, units, defaults and CSV column names; everything else derives from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -51,6 +51,10 @@ def path_loss(d: float, m: float, fc: float) -> float:
     if not 0 < gain < math.inf:
         raise ValueError(f"path loss at d={d} m, m={m}, fc={fc} Hz is not positive and finite")
     return gain
+
+
+# The SystemParams fields the path-loss gains L_ar and L_rb depend on.
+_GAIN_INPUTS = ("d_ar", "d_rb", "m", "fc")
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,23 @@ class SystemParams:
         return self.sigma2_ba + self.sigma2_bc
 
     def with_updates(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
+        """A copy with the given fields changed, every field validated as in a new point.
+
+        The path-loss gains carry over unless d_ar, d_rb, m or fc changes,
+        so a grid over eta0, epsilon or a power builds its points without
+        recomputing them.
+        """
+        unknown = kwargs.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            raise TypeError(f"SystemParams has no fields {sorted(unknown)}")
+        new = object.__new__(type(self))
+        state = new.__dict__
+        state.update(self.__dict__)  # the fields and the cached gains
+        if not kwargs.keys().isdisjoint(_GAIN_INPUTS):
+            del state["L_ar"], state["L_rb"]
+        state.update(kwargs)
+        new.__post_init__()
+        return new
 
 
 @dataclass(frozen=True)

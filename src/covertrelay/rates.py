@@ -32,13 +32,15 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
 * Lanes. A figure grid is evaluated in batched calls
   (optimize_harvest_fractions, average_covert_rates), one lane per
   distinct (SystemParams rate fields, fraction, eta1) point; equal points
-  share a lane, evaluated once. Each lane's scalars are a (lanes, 1)
-  column broadcast against its row of outer nodes, and each row is reduced
-  by the same 1-D dot as a one-point call (a 2-D matrix-vector product
-  rounds differently in the last bit), so every lane equals the one-point
-  result bit for bit, whatever the other lanes' starts. The one-point
-  functions share the kernels but not the lane set-up, which would make
-  each call about a quarter slower (sweep makes one such call per row).
+  share a lane, evaluated once. Both take the points' lane_values, which
+  a recipe builds once for all its calls. Each lane's scalars are a
+  (lanes, 1) column broadcast against its row of outer nodes, and each row
+  is reduced by the same 1-D dot as a one-point call (a 2-D matrix-vector
+  product rounds differently in the last bit), so every lane equals the
+  one-point result bit for bit, whatever the other lanes' starts. The
+  one-point functions share the kernels but not the lane set-up, which
+  would make each call about a quarter slower (sweep makes one such call
+  per row).
   The fraction search reduces its rows by row sums, also per lane, all
   three from the lane's start for the rate.
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
@@ -52,6 +54,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +82,7 @@ _SEARCH_START = {TS: 1.5, PS: 4.5}
 # outer nodes read.
 _LANE_FIELDS = ("Pa", "L_ar", "L_rb", "sigma2_b", "sigma2_ra", "sigma2_rc", "eta0", "eta_u",
                 "lambda_ar", "lambda_rb")
+_LANE_OF = attrgetter(*_LANE_FIELDS)
 
 # Outer trapezoid nodes t (g_ar = lambda_ar * e^t) and their weights for the
 # Exp(1) density, e^(t - e^t) dt; the end weights are halved.
@@ -451,9 +455,9 @@ def _full_rows(rows, start):
     return out
 
 
-def _lane_values(points) -> list[tuple]:
-    """Each point's _LANE_FIELDS values: equal tuples make the same lane."""
-    return [tuple(getattr(p, name) for name in _LANE_FIELDS) for p in points]
+def lane_values(points) -> list[tuple]:
+    """Each point's _LANE_FIELDS values, the lanes the batched functions take: equal tuples make the same lane."""
+    return list(map(_LANE_OF, points))
 
 
 def _lanes(values) -> SimpleNamespace:
@@ -559,14 +563,15 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     return result
 
 
-def average_covert_rates(points, variant: str, fractions, eta1s) -> list[RateResult]:
+def average_covert_rates(lanes, variant: str, fractions, eta1s) -> list[RateResult]:
     """average_covert_rate at many points of one scheme variant, in one call.
 
-    Lane i is (points[i], SchemeConfig(variant, fractions[i]), eta1s[i]);
-    equal lanes are evaluated once. Each lane's result equals the one-point
-    call bit for bit; one warning covers every flagged lane.
+    lanes is lane_values(points). Lane i is (points[i], SchemeConfig(variant,
+    fractions[i]), eta1s[i]); equal lanes are evaluated once. Each lane's
+    result equals the one-point call bit for bit; one warning covers every
+    flagged lane.
     """
-    keys = [(v, float(f), float(e)) for v, f, e in zip(_lane_values(points), fractions, eta1s)]
+    keys = [(v, float(f), float(e)) for v, f, e in zip(lanes, fractions, eta1s)]
     if not keys:
         return []
     unique = list(dict.fromkeys(keys))
@@ -680,8 +685,8 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return d1, d2
 
 
-def optimize_harvest_fractions(points, variant: str) -> np.ndarray:
-    """Harvesting fraction maximizing the no-covert effective forwarded rate J, per point.
+def optimize_harvest_fractions(lanes, variant: str) -> np.ndarray:
+    """Harvesting fraction maximizing the no-covert effective forwarded rate J, per lane (lane_values of the points).
 
     The search (_newton_search) runs on v = logit(fraction) over (1e-3,
     1 - 1e-3). J vanishes at both ends of (0, 1), so its maximum is interior;
@@ -697,16 +702,15 @@ def optimize_harvest_fractions(points, variant: str) -> np.ndarray:
     so J' changes sign at most once, in w and so in v = ln w. For PS there
     is no such proof; the tests check it against a fine grid.
 
-    Points with equal _LANE_FIELDS share one lane. Every iteration evaluates
-    dJ/dv and d2J/dv2 for all unconverged lanes in one batched call, and a
-    lane's result does not depend on the other lanes.
+    Equal lanes are searched once. Every iteration evaluates dJ/dv and
+    d2J/dv2 for all unconverged lanes in one batched call, and a lane's
+    result does not depend on the other lanes.
     """
-    values = _lane_values(points)
-    unique = list(dict.fromkeys(values))
+    unique = list(dict.fromkeys(lanes))
     if not unique:
         return np.empty(0)
     found = dict(zip(unique, _newton_search(_lanes(unique), variant, len(unique))))
-    return np.array([found[v] for v in values])
+    return np.array([found[v] for v in lanes])
 
 
 def _newton_search(lanes, variant: str, n: int) -> np.ndarray:

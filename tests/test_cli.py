@@ -257,6 +257,12 @@ def test_empty_sweep_is_a_usage_error(capsys, fraction):
     assert capsys.readouterr().err == "error: no rows to write\n"
 
 
+def test_empty_sweep_values_are_a_usage_error(capsys):
+    # An empty --values= is a value that is not a number, not a missing grid.
+    assert main(["sweep", "--param", "Pa", "--values=", "--fraction", "0.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: could not convert string to float: ''\n"
+
+
 def test_cli_import_loads_no_scipy():
     """No CLI command loads scipy: importing the CLI, and then each
     subcommand in turn, in one fresh interpreter that lists its modules

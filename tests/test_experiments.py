@@ -1,9 +1,14 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
 from covertrelay import solve_phi_epsilon
 from covertrelay import experiments as ex
 from covertrelay.params import CONFIG_FIELDS, TS
+from covertrelay.rates import lane_values
 
 
 def _by(rows, **filters):
@@ -135,13 +140,13 @@ def test_sweep_fraction(params):
 
 
 def test_resolve_fractions_modes(params):
-    assert ex.resolve_fractions([params, params], "ts", 0.37) == [0.37, 0.37]
-    (auto,) = ex.resolve_fractions([params], "ts", "auto")
+    assert ex.resolve_fractions(lane_values([params, params]), "ts", 0.37) == [0.37, 0.37]
+    (auto,) = ex.resolve_fractions(lane_values([params]), "ts", "auto")
     assert 0.0 < auto < 1.0
-    assert ex.resolve_fractions([params], "ts", "auto") == [auto]  # deterministic
+    assert ex.resolve_fractions(lane_values([params]), "ts", "auto") == [auto]  # deterministic
     # The search ignores epsilon: points that differ only in it share one lane.
     points = [params.with_updates(epsilon=e) for e in (0.05, 0.1, 0.3)]
-    assert ex.resolve_fractions(points, "ts", "auto") == [auto] * 3
+    assert ex.resolve_fractions(lane_values(points), "ts", "auto") == [auto] * 3
 
 
 def test_csv_output_format(params):
@@ -155,6 +160,62 @@ def test_csv_output_format(params):
     # float and np.float64 cells take the float rule; int and str are written as they are.
     mixed = [{"f": 0.1 + 0.2, "f64": np.float64(1.0) / 3.0, "i": 7, "s": "a,b"}]
     assert ex.csv_bytes(mixed) == b'f,f64,i,s\r\n0.3,0.333333333333,7,"a,b"\r\n'
+
+
+def _csv_reference(rows: list[dict]) -> bytes:
+    """The row-by-row csv.writer loop that csv_bytes replaced, kept here as its oracle."""
+    header = list(rows[0].keys())
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, f".{ex.FLOAT_DIGITS}g") if type(v) in (float, np.float64) else v
+                         for v in row.values()])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("recipe", [
+    lambda p: ex.run_fig2(p, mc_blocks=10**4, n_tau=41),
+    ex.run_fig3,
+    ex.run_fig4,
+    lambda p: ex.run_fig4(p, fraction=0.5),
+    ex.run_fig5,
+    ex.run_fig6,
+    lambda p: ex.run_sweep(p, "Pa", list(np.linspace(-10.0, 32.0, 5))),
+    lambda p: ex.run_sweep(p, "eta0", [0.8, 0.4], fraction=0.5),  # a nan tau_star_w
+], ids=["fig2", "fig3", "fig4", "fig4-fixed", "fig5", "fig6", "sweep-Pa", "sweep-eta0"])
+def test_csv_bytes_equals_the_csv_writer_reference_on_recipe_rows(params, recipe):
+    rows = recipe(params)
+    assert ex.csv_bytes(rows) == _csv_reference(rows)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("rows", [
+    # Signed zeros, NaNs and infinities in float and np.float64, one column each.
+    [{"zero": z, "nan": n, "inf": i, "f": f} for z, n, i, f in [
+        (0.0, NAN, math.inf, 0.1), (-0.0, float("nan"), -math.inf, np.float64(0.1)),
+        (np.float64(-0.0), np.float64("nan"), np.float64("inf"), 0.1), (0.0, -NAN, np.float64("-inf"), 1e-300),
+        (np.float64(0.0), NAN, math.inf, np.float64(0.30000000000000004)), (-0.0, NAN, 1.0, 0.3),
+    ]],
+    # Values that compare and hash equal but print differently.
+    [{"mixed": v, "ints": i, "flags": b} for v, i, b in [
+        (1, 1, True), (1.0, 2, False), (True, 1, True), (np.float64(1.0), 1, True), (0, 0, False),
+        (-0.0, 0, False), (False, 2, True), (np.int64(1), 1, True), (None, 3, False), ("1", 1, True),
+    ]],
+    # Text that needs quoting, and empty fields.
+    [{"text": t, "empty": "", "none": None, "name,with comma": 1} for t in [
+        "plain", "a,b", 'say "hi"', "line\r\nbreak", "cr\ronly", "lf\nonly", "", " padded ", "plain", "a,b",
+    ]],
+    # One-column tables: a lone empty field is quoted.
+    [{"only": v} for v in ["", "a", "", None, 0.0, -0.0, NAN, "x,y", ""]],
+    [{"": ""}],
+    [{"z": -0.0}, {"z": 0.0}],
+    [{}, {}],  # no columns: blank lines
+])
+def test_csv_bytes_equals_the_csv_writer_reference_on_hand_built_rows(rows):
+    assert ex.csv_bytes(rows) == _csv_reference(rows)
 
 
 def test_csv_rejects_mixed_schema():

@@ -81,6 +81,29 @@ def test_system_params_validation(params):
         params.with_updates(epsilon=1.5)
     with pytest.raises(ValueError):
         params.with_updates(m=-0.1)
+    with pytest.raises(ValueError, match="path loss"):
+        params.with_updates(d_ar=1e-300)  # the gain overflows
+    with pytest.raises(TypeError):
+        params.with_updates(eta=0.5)
+
+
+@pytest.mark.parametrize("changes, gains_computed", [
+    ({}, 0),
+    ({"eta0": 0.3, "epsilon": 0.2}, 0),
+    ({"Pa": 2.0, "sigma2_ba": 1e-10, "lambda_rb": 2.0}, 0),
+    ({"d_ar": 3.0, "d_rb": 17.0}, 2),
+    ({"m": 3.0}, 2),
+    ({"fc": 2.4e9, "eta0": 0.5}, 2),
+])
+def test_with_updates_equals_a_freshly_built_point(params, monkeypatch, changes, gains_computed):
+    fresh = SystemParams(**{**{f.name: getattr(params, f.name) for f in fields(SystemParams)}, **changes})
+    calls = []
+    monkeypatch.setattr(cp, "path_loss", lambda *a: calls.append(a) or path_loss(*a))
+    updated = params.with_updates(**changes)
+    # The gains carry over unless d_ar, d_rb, m or fc changes.
+    assert len(calls) == gains_computed
+    assert updated == fresh
+    assert (updated.L_ar, updated.L_rb) == (fresh.L_ar, fresh.L_rb)
 
 
 def test_scheme_config_validation():

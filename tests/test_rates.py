@@ -40,6 +40,7 @@ from covertrelay.rates import (
     average_covert_rates,
     covertness_budget_limit,
     expected_rate_h0,
+    lane_values,
     optimize_harvest_fractions,
 )
 
@@ -232,7 +233,7 @@ def test_psi_star_nondecreasing_in_pa(params, ts):
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 def test_optimize_harvest_fraction_local_optimum(params, variant):
-    best = optimize_harvest_fractions([params], variant)[0]
+    best = optimize_harvest_fractions(lane_values([params]), variant)[0]
     assert 0.0 < best < 1.0
 
     def objective(f):
@@ -245,14 +246,14 @@ def test_optimize_harvest_fraction_local_optimum(params, variant):
         probe = min(max(best + delta, 1e-4), 1.0 - 1e-4)
         assert j_best >= objective(probe) - 1e-12
     # deterministic search
-    assert optimize_harvest_fractions([params], variant)[0] == best
+    assert optimize_harvest_fractions(lane_values([params]), variant)[0] == best
 
 
 def test_ts_objective_vanishes_at_boundaries(params):
     def objective(f):
         return (1.0 - f) / 2.0 * expected_rate_h0(params, SchemeConfig(TS, f))
 
-    interior = objective(optimize_harvest_fractions([params], "ts")[0])
+    interior = objective(optimize_harvest_fractions(lane_values([params]), "ts")[0])
     assert objective(1e-6) < 1e-3 * interior
     assert objective(1.0 - 1e-9) < 1e-3 * interior
 
@@ -299,7 +300,7 @@ def test_optimized_fraction_beats_fine_grid(variant, p):
         pre = (1.0 - f) / 2.0 if variant == "ts" else 0.5
         return pre * expected_rate_h0(p, scheme)
 
-    f_star = optimize_harvest_fractions([p], variant)[0]
+    f_star = optimize_harvest_fractions(lane_values([p]), variant)[0]
     grid = np.linspace(0.001, 0.999, 999)  # ends at the search bounds
     values = [objective(f) for f in grid]
     peak = int(np.argmax(values))
@@ -339,11 +340,11 @@ def test_lane_search_reaches_scipy_bounded_brent(variant, points):
     # at different nodes and a repeated point: no lane may end lower in J
     # than a tight bounded Brent, and each lane equals its one-lane call.
     points = [*points, *_mixed_start_points(points[0]), points[0]]
-    got = optimize_harvest_fractions(points, variant)
+    got = optimize_harvest_fractions(lane_values(points), variant)
     for p, f in zip(points, got):
         objective = _fraction_objective(p, variant)
         assert objective(f) >= (1.0 - 1e-12) * objective(_scipy_fraction(objective))
-    assert [optimize_harvest_fractions([p], variant)[0] for p in points] == got.tolist()
+    assert [optimize_harvest_fractions(lane_values([p]), variant)[0] for p in points] == got.tolist()
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
@@ -360,7 +361,7 @@ def test_lane_search_evaluations_on_fig4_grid(params, variant, monkeypatch):
     monkeypatch.setattr(rates, "_h0_slopes", counted)
     points = [params.with_updates(eta0=float(eta0), epsilon=eps)
               for eps in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
-    optimize_harvest_fractions(points, variant)
+    optimize_harvest_fractions(lane_values(points), variant)
     assert evaluated[0] == 200
     assert sum(evaluated) / evaluated[0] <= 7.0
 
@@ -437,7 +438,7 @@ def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
     eta1s = [data.draw(st.floats(p.eta0, p.eta_u)) for p in points]
     points, fractions, eta1s = ([*x, x[0]] for x in (points, fractions, eta1s))
     batched, n_batched = _rates_and_warning_count(
-        lambda: average_covert_rates(points, variant, fractions, eta1s))
+        lambda: average_covert_rates(lane_values(points), variant, fractions, eta1s))
     single, n_single = _rates_and_warning_count(lambda: [
         average_covert_rate(p, SchemeConfig(variant, f), e) for p, f, e in zip(points, fractions, eta1s)
     ])
@@ -450,7 +451,7 @@ def test_a_nan_quad_error_is_flagged_by_both_entry_points():
     # converged: the one-point and the lane call both warn about it.
     p = default_params(fc=1e-30)
     calls = [lambda: average_covert_rate(p, SchemeConfig(TS, 0.5), 0.8),
-             lambda: average_covert_rates([p], TS, [0.5], [0.8])[0]]
+             lambda: average_covert_rates(lane_values([p]), TS, [0.5], [0.8])[0]]
     for call in calls:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -462,11 +463,11 @@ def test_a_nan_quad_error_is_flagged_by_both_entry_points():
 def test_lane_fractions_are_checked_before_any_evaluation(params):
     # A fraction of 1.5 would reach np.log through a negative PS share first.
     with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 1\), got \[1.5\]$"):
-        average_covert_rates([params, params], "ps", [0.5, 1.5], [0.7, 0.7])
+        average_covert_rates(lane_values([params, params]), "ps", [0.5, 1.5], [0.7, 0.7])
     with pytest.raises(ValueError, match="variant must be"):
-        average_covert_rates([params], "xx", [0.5], [0.7])
+        average_covert_rates(lane_values([params]), "xx", [0.5], [0.7])
     with pytest.raises(ValueError, match="variant must be"):
-        optimize_harvest_fractions([params], "xx")
+        optimize_harvest_fractions(lane_values([params]), "xx")
 
 
 @pytest.mark.parametrize("variant", ["ts", "ps"])
@@ -475,7 +476,7 @@ def test_batched_covert_rate_branches(params, variant):
     fractions = [0.5, 0.3, 0.5, 0.9]
     eta1s = [0.7, 0.3, params.eta0 + 1e-12, 0.8]  # eta1 == eta0 in lane 1, flagged surplus in lane 2
     with pytest.warns(RuntimeWarning) as caught:
-        batched = average_covert_rates(points, variant, fractions, eta1s)
+        batched = average_covert_rates(lane_values(points), variant, fractions, eta1s)
     assert len(caught) == 1
     assert batched[1] == RateResult(c_avg=0.0, psi=0.0, quad_error=0.0)
     assert [r.converged for r in batched] == [True, True, False, True]
@@ -511,7 +512,7 @@ def test_fraction_search_at_a_carrier_where_every_h_is_near():
     # asymptotic branch, where _h once returned h flattened and the row
     # sums failed.
     for variant in (TS, PS):
-        f = optimize_harvest_fractions([default_params(fc=1e-24)], variant)[0]
+        f = optimize_harvest_fractions(lane_values([default_params(fc=1e-24)]), variant)[0]
         assert 1e-3 <= f <= 1.0 - 1e-3
 
 
@@ -596,10 +597,10 @@ def _count_h_elements(monkeypatch) -> list:
 
 def test_equal_lanes_are_evaluated_once(params, monkeypatch):
     sizes = _count_h_elements(monkeypatch)
-    average_covert_rates([params], TS, [0.5], [0.7])
+    average_covert_rates(lane_values([params]), TS, [0.5], [0.7])
     one = sum(sizes)
     sizes.clear()
-    average_covert_rates([params] * 3, TS, [0.5] * 3, [0.7] * 3)
+    average_covert_rates(lane_values([params] * 3), TS, [0.5] * 3, [0.7] * 3)
     assert sum(sizes) == one
 
 
