@@ -165,7 +165,10 @@ def main(argv=None) -> int:
                 values = [float(v) for v in args.values.split(",")]
             else:
                 start, stop, num = args.linspace
-                values = list(np.linspace(float(start), float(stop), int(num)))
+                num = int(num)
+                if num < 1:
+                    raise ValueError(f"--linspace NUM must be at least 1, got {num}")
+                values = list(np.linspace(float(start), float(stop), num))
             rows = experiments.run_sweep(
                 params, args.param, values, fraction=fraction, variants=variants,
             )

@@ -38,6 +38,9 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
   is reduced by the same 1-D dot as a one-point call (a 2-D matrix-vector
   product rounds differently in the last bit), so every lane equals the
   one-point result bit for bit, whatever the other lanes' starts. The
+  distinct lanes are evaluated in blocks of _LANE_BLOCK (80) lanes, each
+  with its own probe, starts and search, so a call's memory stays bounded
+  however many lanes it has; no result depends on the block. The
   one-point functions share the kernels but not the lane set-up, which
   would make each call about a quarter slower (sweep makes one such call
   per row).
@@ -83,6 +86,11 @@ _SEARCH_START = {TS: 1.5, PS: 4.5}
 _LANE_FIELDS = ("Pa", "L_ar", "L_rb", "sigma2_b", "sigma2_ra", "sigma2_rc", "eta0", "eta_u",
                 "lambda_ar", "lambda_rb")
 _LANE_OF = attrgetter(*_LANE_FIELDS)
+# The batched functions evaluate their distinct lanes in blocks of this many,
+# so a block's node arrays (lanes x 201 outer nodes) hold about 2^14
+# elements, cache-sized like montecarlo._BLOCK, and a call's memory does not
+# grow with its lane count.
+_LANE_BLOCK = 80
 
 # Outer trapezoid nodes t (g_ar = lambda_ar * e^t) and their weights for the
 # Exp(1) density, e^(t - e^t) dt; the end weights are halved.
@@ -471,6 +479,11 @@ def _lanes(values) -> SimpleNamespace:
     return SimpleNamespace(**{name: col[:, None] for name, col in zip(_LANE_FIELDS, np.array(values).T)})
 
 
+def _lane_blocks(lanes) -> list:
+    """lanes (a list or an index array) in consecutive blocks of at most _LANE_BLOCK."""
+    return [lanes[i:i + _LANE_BLOCK] for i in range(0, len(lanes), _LANE_BLOCK)]
+
+
 def _h0_roots(p, r, slopes=False):
     """h at both roots of the h0 terms, for the eta0 downlink coefficients p and r.
 
@@ -567,9 +580,9 @@ def average_covert_rates(lanes, variant: str, fractions, eta1s) -> list[RateResu
     """average_covert_rate at many points of one scheme variant, in one call.
 
     lanes is lane_values(points). Lane i is (points[i], SchemeConfig(variant,
-    fractions[i]), eta1s[i]); equal lanes are evaluated once. Each lane's
-    result equals the one-point call bit for bit; one warning covers every
-    flagged lane.
+    fractions[i]), eta1s[i]); equal lanes are evaluated once, in blocks of
+    _LANE_BLOCK distinct lanes. Each lane's result equals the one-point call
+    bit for bit; one warning covers every flagged lane.
     """
     keys = [(v, float(f), float(e)) for v, f, e in zip(lanes, fractions, eta1s)]
     if not keys:
@@ -578,24 +591,32 @@ def average_covert_rates(lanes, variant: str, fractions, eta1s) -> list[RateResu
     values, lane_fractions, eta1 = (np.array(col) for col in zip(*unique))
     # Checks every fraction before any evaluation.
     prefactor = effective_rate_prefactor(SchemeConfig(variant, lane_fractions))
-    live = eta1 != values[:, _LANE_FIELDS.index("eta0")]
+    live = np.flatnonzero(eta1 != values[:, _LANE_FIELDS.index("eta0")])
     fine, err = np.zeros(len(unique)), np.zeros(len(unique))
-    if live.any():
-        sub, scheme = _lanes(values[live]), SchemeConfig(variant, lane_fractions[live, None])
-        eta1_col = eta1[live, None]
-        probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
-        start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
-        first = start.min()
-        c = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
-        node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
-        rows = zip(_full_rows(node_values, start), rounding, start, tail)
-        fine[live], err[live] = zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows])
+    for block in _lane_blocks(live):
+        fine[block], err[block] = _covert_lanes(values[block], variant, lane_fractions[block], eta1[block])
     found = {key: RateResult(c_avg=c, psi=p, quad_error=e)
              for key, c, p, e in zip(unique, fine.tolist(), (prefactor * fine).tolist(), err.tolist())}
     results = [found[k] for k in keys]
     if any(not r.converged for r in results):
         _warn_flagged()
     return results
+
+
+def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[tuple, tuple]:
+    """c_avg and quad_error of one block of lanes with eta1 > eta0, as one-point calls compute them.
+
+    values holds a lane's _LANE_FIELDS per row; fractions and eta1 one entry per lane.
+    """
+    sub, scheme = _lanes(values), SchemeConfig(variant, fractions[:, None])
+    eta1_col = eta1[:, None]
+    probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
+    start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
+    first = start.min()
+    c = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
+    node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
+    rows = zip(_full_rows(node_values, start), rounding, start, tail)
+    return tuple(zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows]))
 
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
@@ -663,6 +684,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # Both roots scale as e^(-v): d ln z / dv = -1.
         terms = (h1 - h2, zh1_2 - zh1_1, dzh1_1 - dzh1_2)
     else:
+        # J is rate / 2, so only the rate's derivatives are summed.
         # z1 scales as 1/f, and ln z2 = ln z1 - ln r with r = N / (N + (1 - f) a),
         # N the relay noise: k = d ln r / df and dk/df in closed form.
         fc = scheme.fraction
@@ -674,15 +696,15 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         lv1, lvv1 = fc - 1.0, g
         lv2 = lv1 - g * k
         lvv2 = lvv1 - g * (1.0 - 2.0 * fc) * k - g * g * dk
-        terms = (h1 - h2, zh1_1 * lv1 - zh1_2 * lv2,
-                 dzh1_1 * lv1**2 + zh1_1 * lvv1 - dzh1_2 * lv2**2 - zh1_2 * lvv2)
+        terms = (zh1_1 * lv1 - zh1_2 * lv2, dzh1_1 * lv1**2 + zh1_1 * lvv1 - dzh1_2 * lv2**2 - zh1_2 * lvv2)
     # Row sums, so a lane's value does not depend on the other lanes.
-    rate, d1, d2 = ((_full_rows(t, start) * _OUTER_W).sum(axis=1) for t in terms)
+    sums = [(_full_rows(t, start) * _OUTER_W).sum(axis=1) for t in terms]
     if variant == TS:
         # J = (1 - f) / 2 * rate; the factor 1/2 is dropped.
+        rate, d1, d2 = sums
         g = f * (1.0 - f)
         return (1.0 - f) * d1 - g * rate, (1.0 - f) * d2 - 2.0 * g * d1 - (1.0 - 2.0 * f) * g * rate
-    return d1, d2
+    return tuple(sums)
 
 
 def optimize_harvest_fractions(lanes, variant: str) -> np.ndarray:
@@ -702,14 +724,16 @@ def optimize_harvest_fractions(lanes, variant: str) -> np.ndarray:
     so J' changes sign at most once, in w and so in v = ln w. For PS there
     is no such proof; the tests check it against a fine grid.
 
-    Equal lanes are searched once. Every iteration evaluates dJ/dv and
-    d2J/dv2 for all unconverged lanes in one batched call, and a lane's
-    result does not depend on the other lanes.
+    Equal lanes are searched once, in blocks of _LANE_BLOCK distinct lanes.
+    Every iteration evaluates dJ/dv and d2J/dv2 for the block's unconverged
+    lanes in one batched call, and a lane's result does not depend on the
+    other lanes.
     """
     unique = list(dict.fromkeys(lanes))
     if not unique:
         return np.empty(0)
-    found = dict(zip(unique, _newton_search(_lanes(unique), variant, len(unique))))
+    searched = np.concatenate([_newton_search(_lanes(block), variant, len(block)) for block in _lane_blocks(unique)])
+    found = dict(zip(unique, searched))
     return np.array([found[v] for v in lanes])
 
 

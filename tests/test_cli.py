@@ -254,7 +254,15 @@ def _modules_loaded(code: str) -> list[list[str]]:
 @pytest.mark.parametrize("fraction", ["auto", "0.5"])
 def test_empty_sweep_is_a_usage_error(capsys, fraction):
     assert main(["sweep", "--param", "Pa", "--linspace", "0", "10", "0", "--fraction", fraction]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: no rows to write\n"
+    assert capsys.readouterr().err == "error: --linspace NUM must be at least 1, got 0\n"
+
+
+def test_negative_linspace_count_names_the_flag(capsys):
+    # numpy's own message for a negative count names neither flag nor value.
+    assert main(["sweep", "--param", "Pa", "--linspace", "-10", "32", "-3", "--fraction", "0.5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --linspace NUM must be at least 1, got -3\n"
 
 
 def test_empty_sweep_values_are_a_usage_error(capsys):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import mpmath
@@ -350,20 +351,26 @@ def test_lane_search_reaches_scipy_bounded_brent(variant, points):
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 def test_lane_search_evaluations_on_fig4_grid(params, variant, monkeypatch):
     # fig4's 400 points differ in epsilon, which the objective ignores, so
-    # they make 200 lanes; each iteration evaluates the lanes still open.
-    evaluated = []
-    slopes = rates._h0_slopes
+    # they make 200 lanes, searched in blocks; each iteration evaluates the
+    # block's lanes still open. Evaluations are counted per block.
+    blocks = []
+    search, slopes = rates._newton_search, rates._h0_slopes
+
+    def block(lanes, variant, n):
+        blocks.append([])
+        return search(lanes, variant, n)
 
     def counted(lanes, variant, f):
-        evaluated.append(len(f))
+        blocks[-1].append(len(f))
         return slopes(lanes, variant, f)
 
+    monkeypatch.setattr(rates, "_newton_search", block)
     monkeypatch.setattr(rates, "_h0_slopes", counted)
     points = [params.with_updates(eta0=float(eta0), epsilon=eps)
               for eps in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
     optimize_harvest_fractions(lane_values(points), variant)
-    assert evaluated[0] == 200
-    assert sum(evaluated) / evaluated[0] <= 7.0
+    assert sum(evaluated[0] for evaluated in blocks) == 200
+    assert sum(map(sum, blocks)) / 200 <= 7.0
 
 
 def _h_mpmath(z) -> complex:
@@ -444,6 +451,67 @@ def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
     ])
     assert batched == single
     assert n_batched == min(n_single, 1)  # one warning covers every flagged lane
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+def test_lane_blocks_do_not_change_results(params, variant, monkeypatch):
+    # Blocks of 3 distinct lanes: 8 points (7 with a surplus) make 3 blocks
+    # in each call. Lanes whose rules start at different nodes, an eta1 ==
+    # eta0 lane, a flagged lane, and the second point repeated at the end,
+    # two block boundaries after its first use.
+    monkeypatch.setattr(rates, "_LANE_BLOCK", 3)
+    block_lanes = []
+    lanes_of = rates._lanes
+
+    def counted(values):
+        block_lanes.append(len(values))
+        return lanes_of(values)
+
+    monkeypatch.setattr(rates, "_lanes", counted)
+    points = [*_mixed_start_points(params), params, params.with_updates(d_ar=4.0),
+              params.with_updates(Pa=1.6, eta0=0.3), params.with_updates(lambda_rb=2.0),
+              params.with_updates(d_rb=14.0), params.with_updates(eta0=0.2)]
+    fractions = [0.5, 0.3, 0.9, 0.5, 0.3, 0.7, 0.1, 0.6]
+    eta1s = [0.7, 0.75, params.eta0 + 1e-12, 0.8, 0.3, 0.7, 0.65, 0.5]  # flagged lane 2, eta1 == eta0 in lane 4
+    points, fractions, eta1s = ([*x, x[1]] for x in (points, fractions, eta1s))
+    batched, n_batched = _rates_and_warning_count(
+        lambda: average_covert_rates(lane_values(points), variant, fractions, eta1s))
+    single, n_single = _rates_and_warning_count(lambda: [
+        average_covert_rate(p, SchemeConfig(variant, f), e) for p, f, e in zip(points, fractions, eta1s)
+    ])
+    assert block_lanes == [3, 3, 1]
+    assert batched == single
+    assert n_batched == n_single == 1
+    assert [r.converged for r in batched].count(False) == 1
+    block_lanes.clear()
+    searched = optimize_harvest_fractions(lane_values(points), variant)
+    assert block_lanes == [3, 3, 2]
+    assert [optimize_harvest_fractions(lane_values([p]), variant)[0] for p in points] == searched.tolist()
+
+
+@pytest.mark.parametrize("kernel", ["average_covert_rates", "optimize_harvest_fractions"])
+def test_lane_kernels_stay_small(params, kernel):
+    # Blocks bound a call's temporaries: from 400 to 4000 lanes only the
+    # per-lane keys and results grow. Without blocks the peak grew tenfold
+    # (80 MiB for the TS covert rates, 70 MiB for the PS search at 4000).
+    def peak(n):
+        lanes = lane_values([params.with_updates(eta0=float(e)) for e in np.linspace(1e-3, params.eta_u, n)])
+        run = {
+            "average_covert_rates": lambda: average_covert_rates(lanes, TS, [0.5] * n, [params.eta_u] * n),
+            "optimize_harvest_fractions": lambda: optimize_harvest_fractions(lanes, PS),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(400), peak(4000)
+    assert large <= 4 * 2**20
+    assert large <= 1.5 * small
 
 
 def test_a_nan_quad_error_is_flagged_by_both_entry_points():
