@@ -156,6 +156,17 @@ def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "No such file or directory" in err
 
 
+@pytest.mark.parametrize("mc_blocks", ["1", "2", "6", "7"])
+def test_validate_at_a_handful_of_draws_fails_the_rate_checks(capsys, mc_blocks):
+    # Too few rate draws for the control-variate fit (six coefficients):
+    # the rate checks read the plain mean, fail, and validate exits 1.
+    assert main(["validate", "--mc-blocks", mc_blocks]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["rate-quad-vs-mc-ts", "rate-quad-vs-mc-ps"]
+    assert out.endswith("22/24 checks passed\n")
+
+
 def test_validate_passes_and_self_test_fails(capsys):
     assert main(["validate", "--mc-blocks", "20000", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out

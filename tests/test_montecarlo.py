@@ -183,6 +183,75 @@ def test_simulate_covert_rate_bit_identical_to_one_shot(params, ts, ps, n):
             assert np.isnan(rep.ci_halfwidth)
 
 
+def _one_shot_control_variate(params, scheme, eta1, n_blocks, seed):
+    # Reference: all draws at once, the controls written as ln(g / lambda) +
+    # gamma, and numpy's least-squares solver on [1, controls]; the
+    # half-width from the residual sum of squares and (X^T X)^-1.
+    rng = substream(seed, montecarlo.STREAM_RATE)
+    g_ar = rng.exponential(params.lambda_ar, n_blocks)
+    g_rb = rng.exponential(params.lambda_rb, n_blocks)
+    y = np.log2(1.0 + covert_snr(params, scheme, eta1, ChannelDraw(g_ar=g_ar, g_rb=g_rb)))
+    u, v = g_ar / params.lambda_ar, g_rb / params.lambda_rb
+    x = np.column_stack([np.ones(n_blocks), np.log(u) + np.euler_gamma, np.log(v) + np.euler_gamma,
+                         u - 1.0, v - 1.0, u * v - 1.0])
+    coef, rss, _, _ = np.linalg.lstsq(x, y, rcond=None)
+    var = rss[0] / (n_blocks - x.shape[1]) * np.linalg.inv(x.T @ x)[0, 0]
+    return coef[0], montecarlo.Z95 * np.sqrt(var)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_control_variate_matches_least_squares(params, ts, ps, n):
+    for scheme in (ts, ps):
+        rep = simulate_covert_rate(params, scheme, 0.7, n, seed=n)
+        if n < 7:  # no residual left: the plain estimate stands in
+            assert rep.c_cv == rep.c_hat
+            continue
+        c_cv, half = _one_shot_control_variate(params, scheme, 0.7, n, n)
+        assert rep.c_cv == pytest.approx(c_cv, rel=1e-12)
+        assert rep.cv_halfwidth == pytest.approx(half, rel=1e-9)
+        assert rep.cv_halfwidth < rep.ci_halfwidth
+
+
+@pytest.mark.parametrize("n", [2, 6, 7])
+def test_control_variate_needs_a_residual(params, ts, n):
+    # Six coefficients: from seven draws on, the fit has a residual.
+    rep = simulate_covert_rate(params, ts, 0.7, n, seed=3)
+    fell_back = (rep.c_cv, rep.cv_halfwidth) == (rep.c_hat, rep.ci_halfwidth)
+    assert fell_back == (n < 7)
+    assert np.isfinite(rep.c_cv) and np.isfinite(rep.cv_halfwidth)
+
+
+def test_zero_draw_keeps_the_plain_estimate(params, ts, monkeypatch):
+    # A zero gain has ln 0 = -inf: the fit is dropped without a warning, and
+    # nothing non-finite is reported.
+    real = montecarlo.substream
+
+    class ZeroFirst:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def exponential(self, scale, size):
+            g = self.rng.exponential(scale, size)
+            g[0] = 0.0
+            return g
+
+    monkeypatch.setattr(montecarlo, "substream", lambda seed, stream: ZeroFirst(real(seed, stream)))
+    rep = simulate_covert_rate(params, ts, 0.7, 1000, seed=4)
+    assert np.isfinite(rep.c_hat)
+    assert (rep.c_cv, rep.cv_halfwidth) == (rep.c_hat, rep.ci_halfwidth)
+
+
+def test_control_variate_mean_over_seeds_matches_quadrature(params, ts, ps):
+    # 50 seeds at 2^14 draws: the mean of the estimates lies within 3
+    # standard errors of the quadrature (the pooled fit's O(1/n) bias is
+    # far below that).
+    eta1 = 0.5 * (params.eta0 + params.eta_u)
+    for scheme in (ts, ps):
+        c = np.array([simulate_covert_rate(params, scheme, eta1, 2**14, seed).c_cv for seed in range(50)])
+        se = np.std(c, ddof=1) / np.sqrt(c.size)
+        assert abs(np.mean(c) - average_covert_rate(params, scheme, eta1).c_avg) <= 3.0 * se
+
+
 @pytest.mark.parametrize("kernel,limit_mib", [("detection_curve", 4), ("simulate_covert_rate", 14)])
 def test_streamed_kernels_stay_small(params, ts, kernel, limit_mib):
     # At 10^6 blocks a single full-size float64 temporary is 7.6 MiB:
@@ -247,6 +316,7 @@ def test_run_pair_joins_the_worker_and_raises_the_job_error(failing):
 def test_simulate_covert_rate_zero_without_surplus(params, ts):
     rep = simulate_covert_rate(params, ts, params.eta0, 10**4, seed=9)
     assert rep.c_hat == 0.0
+    assert rep.c_cv == 0.0
 
 
 def test_simulate_covert_rate_matches_quadrature(params, ts, ps):

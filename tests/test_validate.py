@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from covertrelay import default_params, detection, montecarlo
-from covertrelay.params import PS, TS, SchemeConfig
-from covertrelay.validate import (KS_DRAWS, _ks_distance, _proportion_halfwidth, format_report,
-                                  run_validation)
+from covertrelay import average_covert_rate, default_params, detection, montecarlo
+from covertrelay.params import PS, TS, SchemeConfig, dbm_to_watts
+from covertrelay.validate import (KS_DRAWS, RATE_MC_TOL, _check, _covert_rate_estimate, _ks_distance,
+                                  _proportion_halfwidth, format_report, run_validation)
 
 SEED = 101
 
@@ -113,9 +113,9 @@ def test_ks_distance_bit_identical_to_one_shot(params, n):
 
 
 def test_validation_stays_small():
-    # Two 10^6-draw jobs in flight, each holding one 7.6 MiB array plus a
-    # block's temporaries: a statistic KS job overwrites its gains with the
-    # statistic, and a rate job takes its standard deviation in place.
+    # At most two 10^6-draw KS jobs in flight, each holding one 7.6 MiB
+    # array plus a block's temporaries: a statistic KS job overwrites its
+    # gains with the statistic. The rate jobs draw fewer at the defaults.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -124,7 +124,7 @@ def test_validation_stays_small():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * 2**20
+    assert peak <= 24 * 2**20
 
 
 def test_ks_checks_equal_scipy_kstest(results):
@@ -144,3 +144,48 @@ def test_ks_checks_equal_scipy_kstest(results):
         t = montecarlo.sufficient_statistic(params, scheme, params.eta0, g)
         expected = stats.kstest(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x)).statistic
         assert measured[f"statistic-cdf-ks-{scheme.variant}"] == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+def test_rate_check_reads_the_control_variate_estimate(results):
+    params = default_params()
+    eta1 = 0.5 * (params.eta0 + params.eta_u)
+    measured = {r.name: r.measured for r in results}
+    for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5)):
+        c_avg = average_covert_rate(params, scheme, eta1).c_avg
+        rep = _covert_rate_estimate(params, scheme, eta1, 10**5, SEED)
+        assert measured[f"rate-quad-vs-mc-{scheme.variant}"] == abs(c_avg - rep.c_cv) / c_avg
+
+
+@pytest.mark.parametrize("pa_dbm", [-50.0, -10.0, 0.0, 20.0, 40.0, 60.0])
+def test_rate_draws_keep_the_plain_confidence(monkeypatch, pa_dbm):
+    # The rate check's half-width is never wider than the plain mean's at
+    # mc_blocks, and it never draws more than mc_blocks. 2^18 draws keep
+    # the scan short; at 60 dBm, where the control variates gain least, the
+    # run draws between the pilot and mc_blocks.
+    mc_blocks = 2**18
+    params = default_params(Pa=dbm_to_watts(pa_dbm))
+    eta1 = 0.5 * (params.eta0 + params.eta_u)
+    simulate = montecarlo.simulate_covert_rate
+    draws = []
+    monkeypatch.setattr(montecarlo, "simulate_covert_rate",
+                        lambda *args: draws.append(args[3]) or simulate(*args))
+    for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5)):
+        draws.clear()
+        rep = _covert_rate_estimate(params, scheme, eta1, mc_blocks, seed=1)
+        assert draws[0] == montecarlo._BLOCK
+        assert max(draws) <= mc_blocks
+        if pa_dbm == 60.0:
+            assert montecarlo._BLOCK < draws[-1] < mc_blocks
+        assert rep.cv_halfwidth <= simulate(params, scheme, eta1, mc_blocks, 1).ci_halfwidth
+
+
+def test_planted_rate_error_fails_every_seed():
+    # A quadrature 3% too high fails rate-quad-vs-mc at the default draw
+    # count on every seed, for both schemes.
+    params = default_params()
+    eta1 = 0.5 * (params.eta0 + params.eta_u)
+    for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5)):
+        planted = 1.03 * average_covert_rate(params, scheme, eta1).c_avg
+        for seed in range(20):
+            rep = _covert_rate_estimate(params, scheme, eta1, montecarlo.MC_BLOCKS, seed)
+            assert not _check("rate-quad-vs-mc", abs(planted - rep.c_cv) / planted, RATE_MC_TOL).passed
