@@ -41,6 +41,7 @@ def _add_common(parser: argparse.ArgumentParser, scheme: bool = True, monte_carl
         "--mc-blocks", type=int, default=montecarlo.MC_BLOCKS, metavar="N",
         help="Monte Carlo fading blocks per estimate" + ignored,
     )
+    parser.set_defaults(monte_carlo=monte_carlo)
     if scheme:
         parser.add_argument(
             "--scheme", choices=list(SCHEME_SELECTORS), default=None,
@@ -144,6 +145,8 @@ def main(argv=None) -> int:
             _write(config_template(), args.out)
             return EXIT_OK
 
+        if getattr(args, "monte_carlo", False) and args.mc_blocks < 1:
+            raise ValueError(f"--mc-blocks must be at least 1, got {args.mc_blocks}")
         params, variants, fraction = _load(args)
 
         if args.command == "fig2":

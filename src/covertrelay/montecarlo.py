@@ -29,7 +29,11 @@ each block's elementwise passes stay in cache. Their results do not
 depend on the block size: each stream is consumed in order, the threshold
 tallies are integer counts and add exactly, every elementwise operation
 acts on each element alone, and the mean, standard deviation and maximum
-reduce the same values as a one-shot evaluation would.
+reduce the same values as a one-shot evaluation would. The detection
+tallies and both KS jobs draw into one buffer per call, reused by every
+block (_exponential_into): a standard exponential draw scaled in place by
+the mean, which is how numpy's Generator.exponential computes its draws,
+so the values are exponential's bit for bit.
 
 simulate_covert_rate also reports a linear control-variate estimate of the
 rate (Lavenberg & Welch 1981; Glasserman, Monte Carlo Methods in Financial
@@ -43,14 +47,18 @@ reductions and np.einsum, not BLAS, so the result does not depend on the
 BLAS thread count. Being summed block by block, it matches a one-shot fit
 to rounding, not bit for bit.
 
-Independent Monte Carlo jobs run two at a time (_run_pair): the H0 and H1
-tallies of detection_curve, and validate's jobs in two lanes (both rate
-simulations and the channel-gain KS draw in one, both statistic KS draws
-in the other). Their work is numpy draws, sorts and ufunc passes, which
-release the interpreter lock. Running them at once cannot change a result:
+A command's independent Monte Carlo jobs run from one job list, two at a
+time (_run_jobs): the calling thread and one worker thread each take the
+next job from the list until it is empty (Graham's list scheduling), so a
+long job on one thread does not hold up the rest of the list. fig2 runs
+each scheme's H0 and H1 tallies (detection_curve); validate submits all
+nine of its jobs as one list (detection_jobs hands it the tallies). Their
+work is numpy draws, sorts and ufunc passes, which release the interpreter
+lock. Which thread runs a job, and in what order, cannot change a result:
 each job draws from its own stream, consumes it in order and reduces only
-its own arrays, and no accumulator is shared between jobs. On one CPU the
-two threads take turns, in about the time of running the jobs in order.
+its own arrays and buffers, and no accumulator is shared between jobs. On
+one CPU the two threads take turns, in about the time of running the jobs
+in order.
 """
 
 from __future__ import annotations
@@ -93,39 +101,66 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(stream)]))
 
 
-def _run_pair(first, second):
-    """(first(), second()), with second on one worker thread.
+def _run_jobs(jobs: list) -> list:
+    """[job() for job in jobs], two jobs at a time.
 
-    The worker is joined before this returns; an exception raised by second
-    is re-raised here unchanged.
+    The calling thread and one worker thread each take the next job from
+    the list until it is empty; results come back in list order, whichever
+    thread ran each job. Once a job raises, no further job starts: the
+    worker is joined and the first exception raised is re-raised here
+    unchanged.
     """
-    results, errors = [], []
+    results = [None] * len(jobs)
+    errors = []
+    lock = threading.Lock()
+    queue = iter(enumerate(jobs))
 
     def work():
-        try:
-            results.append(second())
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors.append(exc)
+        while True:
+            with lock:
+                taken = None if errors else next(queue, None)
+            if taken is None:
+                return
+            i, job = taken
+            try:
+                results[i] = job()
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors.append(exc)
+                return
 
     worker = threading.Thread(target=work)
     worker.start()
     try:
-        result = first()
+        work()
     finally:
         worker.join()
     if errors:
         raise errors[0]
-    return result, results[0]
+    return results
 
 
-def sufficient_statistic(params: SystemParams, scheme: SchemeConfig, eta: float, g_ar):
+def _exponential_into(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """rng.exponential(scale, out.size), drawn into out and returned.
+
+    numpy draws exponential(scale) as scale times a standard draw, so the
+    values, and what the stream consumes, are the same bit for bit.
+    """
+    rng.standard_exponential(out=out)
+    out *= scale
+    return out
+
+
+def sufficient_statistic(params: SystemParams, scheme: SchemeConfig, eta: float, g_ar, out=None):
     """Received power per channel use at the source for a given |h_ar|^2.
 
     The reciprocal source-relay channel makes the statistic quadratic in
-    the fading gain: K(eta) * g_ar^2 + sigma2_a.
+    the fading gain: K(eta) * g_ar^2 + sigma2_a. It is computed in out if
+    given, which may be g_ar itself.
     """
-    k = detection.statistic_scale(params, scheme, eta)
-    return k * np.square(g_ar) + params.sigma2_a
+    t = np.square(g_ar, out=out, dtype=float)
+    t *= detection.statistic_scale(params, scheme, eta)
+    t += params.sigma2_a
+    return t
 
 
 def detection_curve(
@@ -146,24 +181,30 @@ def detection_curve(
     detector operating curves); each point is still marginally a binomial
     estimate at n_blocks trials.
     """
+    alpha_hat, beta_hat = _run_jobs(detection_jobs(params, scheme, eta1, taus, n_blocks, seed, streams))
+    return alpha_hat, beta_hat
+
+
+def detection_jobs(params, scheme, eta1, taus, n_blocks, seed, streams) -> list:
+    """detection_curve's two jobs, for a caller's _run_jobs list: they return alpha_hat and beta_hat."""
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     taus = np.asarray(taus, dtype=float)
-    below0, below1 = _run_pair(
-        lambda: _count_below(params, scheme, params.eta0, taus, n_blocks, substream(seed, streams[0])),
-        lambda: _count_below(params, scheme, eta1, taus, n_blocks, substream(seed, streams[1])),
-    )
-    alpha_hat = 1.0 - below0 / n_blocks
-    beta_hat = below1 / n_blocks
-    return alpha_hat, beta_hat
+
+    def below(eta, stream):
+        return _count_below(params, scheme, eta, taus, n_blocks, substream(seed, stream)) / n_blocks
+
+    return [lambda: 1.0 - below(params.eta0, streams[0]), lambda: below(eta1, streams[1])]
 
 
 def _count_below(params, scheme, eta, taus, n_blocks, rng):
     # Per threshold, how many of n_blocks statistics lie strictly below it.
+    # Each block is drawn, turned into its statistic and sorted in buf.
     counts = np.zeros(taus.shape, dtype=np.intp)
+    buf = np.empty(min(_BLOCK, n_blocks))
     for start in range(0, n_blocks, _BLOCK):
-        g = rng.exponential(params.lambda_ar, min(_BLOCK, n_blocks - start))
-        t = sufficient_statistic(params, scheme, eta, g)
+        t = _exponential_into(rng, params.lambda_ar, buf[:n_blocks - start])
+        sufficient_statistic(params, scheme, eta, t, out=t)
         t.sort()
         counts += np.searchsorted(t, taus, side="left")
     return counts

@@ -489,8 +489,8 @@ def _h0_roots(p, r, slopes=False):
 
     1 + snr_h0 = (1 + p y) / (1 + p r y), so E[ln(1 + snr_h0)] = h(z) - h(z/r)
     at each node, with z = 1/p. One _h call takes z and z/r stacked on the
-    first axis (with slopes, each of its three outputs is stacked so), and
-    np.split(_, 2) separates them.
+    first axis (with slopes, each of its three outputs is stacked so); the
+    caller slices them apart at len(p).
     """
     z = 1.0 / p
     return _h(np.concatenate([z, z / r]), slopes=slopes)
@@ -623,8 +623,9 @@ def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     """Fading average of log2(1 + snr) for the forwarded signal, no covert data."""
     c = relaying.downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
     start = _h0_start(c.p[_PROBE].tolist(), c.r[_PROBE].tolist())
-    at_z, at_zr = np.split(_h0_roots(c.p[start:], c.r[start:]), 2)
-    return float(_OUTER_W @ _full_rows(at_z - at_zr, start)) / math.log(2.0)
+    n = c.p.size - start
+    h = _h0_roots(c.p[start:], c.r[start:])
+    return float(_OUTER_W @ _full_rows(h[:n] - h[n:], start)) / math.log(2.0)
 
 
 def covertness_budget_limit(eta0: float, eta_u: float) -> float:
@@ -679,7 +680,8 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     draw = _outer_nodes(lanes, slice(start.min(), None))
     c = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, draw)
     parts = _h0_roots(c.p, c.r, slopes=True)
-    (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = (np.split(x, 2) for x in parts)
+    n = len(c.p)
+    (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = ((x[:n], x[n:]) for x in parts)
     if variant == TS:
         # Both roots scale as e^(-v): d ln z / dv = -1.
         terms = (h1 - h2, zh1_2 - zh1_1, dzh1_1 - dzh1_2)

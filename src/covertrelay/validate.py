@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,35 +59,52 @@ def _ks_distance(draws: np.ndarray, cdf) -> float:
 
     Sorts draws in place, then evaluates cdf, i/n - c and c - (i-1)/n on
     consecutive blocks of the sorted draws and keeps a running maximum, so
-    no full-size temporary is allocated. cdf must act elementwise. The
-    arithmetic per element is scipy.stats.kstest's and a maximum does not
-    depend on how its values are grouped, so the statistic is bit-identical,
-    but no p-value is computed: the checks only compare the distance with a
+    no full-size temporary is allocated. cdf must act elementwise. Per
+    block, r = (start + [0, 1, ..., m]) / n is formed once: r[1:] is i/n and
+    r[:-1] is (i-1)/n, the same values, as integers below 2^53 are exact.
+    Both differences go into one scratch buffer per call. The arithmetic
+    per element is scipy.stats.kstest's and a maximum does not depend on
+    how its values are grouped, so the statistic is bit-identical, but no
+    p-value is computed: the checks only compare the distance with a
     tolerance.
     """
     draws.sort()
     n = draws.size
+    diff = np.empty(min(n, montecarlo._BLOCK))
     d = -np.inf
     for start in range(0, n, montecarlo._BLOCK):
         c = cdf(draws[start:start + montecarlo._BLOCK])
-        i = np.arange(start + 1.0, start + c.size + 1.0)
-        d = max(d, np.max(i / n - c), np.max(c - (i - 1.0) / n))
+        r = np.arange(start, start + c.size + 1.0)
+        r /= n
+        out = diff[:c.size]
+        d = max(d, np.subtract(r[1:], c, out=out).max(), np.subtract(c, r[:-1], out=out).max())
+        # Dropped before the next block's cdf allocates its temporaries, so
+        # a job holds its draws, diff and one block's arrays at most; two
+        # 10^6-draw KS jobs may run at once.
+        del c, r
     return float(d)
 
 
 def _statistic_ks_distance(params: SystemParams, scheme: SchemeConfig, seed: int) -> float:
     """KS distance of KS_DRAWS H0 statistics, on the scheme's own stream, from their CDF.
 
-    Each block of the drawn gains is overwritten by its statistic, so the
-    job holds one 10^6-element array; the statistic acts elementwise, so the
-    values are those of one full-size evaluation.
+    Each block of gains is drawn into the one KS_DRAWS array and
+    overwritten there by its statistic; the statistic acts elementwise, so
+    the values are those of one full-size evaluation.
     """
-    stream = montecarlo.STREAMS_KS_STATISTIC[scheme.variant]
-    t = montecarlo.substream(seed, stream).exponential(params.lambda_ar, KS_DRAWS)
+    rng = montecarlo.substream(seed, montecarlo.STREAMS_KS_STATISTIC[scheme.variant])
+    t = np.empty(KS_DRAWS)
     for start in range(0, KS_DRAWS, montecarlo._BLOCK):
-        block = t[start:start + montecarlo._BLOCK]
-        block[...] = montecarlo.sufficient_statistic(params, scheme, params.eta0, block)
+        block = montecarlo._exponential_into(rng, params.lambda_ar, t[start:start + montecarlo._BLOCK])
+        montecarlo.sufficient_statistic(params, scheme, params.eta0, block, out=block)
     return _ks_distance(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x))
+
+
+def _channel_ks_distance(params: SystemParams, seed: int) -> float:
+    """KS distance of KS_DRAWS channel gains, on STREAM_KS_CHANNEL, from their exponential CDF."""
+    rng = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL)
+    g = montecarlo._exponential_into(rng, params.lambda_ar, np.empty(KS_DRAWS))
+    return _ks_distance(g, lambda x: -np.expm1(-x / params.lambda_ar))
 
 
 def _covert_rate_estimate(params: SystemParams, scheme: SchemeConfig, eta1: float, mc_blocks: int,
@@ -164,25 +182,42 @@ def run_validation(
     """
     schemes = (SchemeConfig(TS, fraction), SchemeConfig(PS, fraction))
     eta1_mid = 0.5 * (params.eta0 + params.eta_u)
+    tau_stars = [detection.optimal_threshold(params, s, eta1_mid) for s in schemes]
+    n_det = min(mc_blocks, 10**5)
+    # One Monte Carlo draw set per hypothesis and scheme, on the scheme's
+    # own streams, serves detection-mc (the first 3 thresholds) and
+    # threshold-optimality (a 2000-point grid plus the optimum).
+    det_taus = []
+    for tau_star in tau_stars:
+        delta = tau_star - params.sigma2_a
+        taus_mc = params.sigma2_a + np.array([0.3, 1.0, 3.0]) * delta
+        taus_grid = params.sigma2_a + np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 2000)
+        det_taus.append(np.concatenate([taus_mc, taus_grid, [tau_star]]))
 
-    # The Monte Carlo jobs run first, in two lanes (montecarlo._run_pair),
-    # each on its own stream; the checks below only read their results.
-    def rate_and_channel_lane():
-        reps = [_covert_rate_estimate(params, s, eta1_mid, mc_blocks, seed) for s in schemes]
-        samples = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, KS_DRAWS)
-        return reps, _ks_distance(samples, lambda g: -np.expm1(-g / params.lambda_ar))
-
-    def statistic_lane():
-        return [_statistic_ks_distance(params, s, seed) for s in schemes]
-
-    (rate_reps, channel_ks), statistic_ks = montecarlo._run_pair(rate_and_channel_lane, statistic_lane)
+    # Every Monte Carlo job runs first, from one list, two at a time
+    # (montecarlo._run_jobs); the checks below only read the results. The
+    # list goes longest first, as measured at the defaults: the two
+    # 10^6-draw statistic KS jobs (about 40 ms each), channel-ks (34 ms),
+    # the rate estimates (6-17 ms; up to 10^6 draws and 50-75 ms at 60
+    # dBm), then the four 10^5-draw detection tallies (about 1.5 ms each).
+    # The short jobs fill in at the end, so both threads finish close
+    # together.
+    jobs = [*(partial(_statistic_ks_distance, params, s, seed) for s in schemes),
+            partial(_channel_ks_distance, params, seed),
+            *(partial(_covert_rate_estimate, params, s, eta1_mid, mc_blocks, seed) for s in schemes)]
+    for s, taus in zip(schemes, det_taus):
+        jobs += montecarlo.detection_jobs(params, s, eta1_mid, taus, n_det, seed,
+                                          montecarlo.STREAMS_DETECTION[s.variant])
+    mc = montecarlo._run_jobs(jobs)
+    statistic_ks, channel_ks, rate_reps, tallies = mc[:2], mc[2], mc[3:5], (mc[5:7], mc[7:9])
 
     results: list[CheckResult] = []
     rng = montecarlo.substream(seed, montecarlo.STREAM_POWER_ALGEBRA)
     skew = 1.0 + perturb
     xi_min = []  # unperturbed minimum error per scheme
 
-    for scheme, rep, ks in zip(schemes, rate_reps, statistic_ks):
+    for scheme, tau_star, taus, ks, rep, (a_hat, b_hat) in zip(schemes, tau_stars, det_taus, statistic_ks,
+                                                               rate_reps, tallies):
         tag = scheme.variant
 
         # Power algebra over random (draw, eta1) tuples.
@@ -209,7 +244,6 @@ def run_validation(
 
         # Threshold optimality: closed form against a threshold grid, and
         # the minimum against the ratio-only expression.
-        tau_star = detection.optimal_threshold(params, scheme, eta1_mid)
         delta = tau_star - params.sigma2_a
         offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 10**4)
         xi_grid = detection.detection_error(params, scheme, eta1_mid, params.sigma2_a + offsets).xi
@@ -219,20 +253,10 @@ def run_validation(
         xi_ratio = detection.min_detection_error(params.eta0 / eta1_mid)
         results.append(_check(f"xi-star-closed-form-{tag}", abs(xi_at_star - xi_ratio), 1e-10))
 
-        # One Monte Carlo draw set per hypothesis, on this scheme's own
-        # streams, serves detection-mc (3 thresholds) and
-        # threshold-optimality (a 2000-point grid plus the optimum).
-        taus_mc = params.sigma2_a + np.array([0.3, 1.0, 3.0]) * delta
-        taus_grid = params.sigma2_a + np.geomspace(params.sigma2_a * 1e-9, 1e3 * delta, 2000)
-        taus = np.concatenate([taus_mc, taus_grid, [tau_star]])
-        n_det = min(mc_blocks, 10**5)
-        a_hat, b_hat = montecarlo.detection_curve(params, scheme, eta1_mid, taus, n_det, seed,
-                                                  montecarlo.STREAMS_DETECTION[tag])
-
         # Detection rates against Monte Carlo tallies (DETECTION_MC_Z
         # binomial standard errors computed from the closed-form rates).
-        a = detection.false_alarm(params, scheme, taus_mc) * skew
-        b = detection.miss_detection(params, scheme, eta1_mid, taus_mc) * skew
+        a = detection.false_alarm(params, scheme, taus[:3]) * skew
+        b = detection.miss_detection(params, scheme, eta1_mid, taus[:3]) * skew
         se_a = np.maximum(np.sqrt(a * (1 - a) / n_det), 1.0 / n_det)
         se_b = np.maximum(np.sqrt(b * (1 - b) / n_det), 1.0 / n_det)
         worst = max(np.max(np.abs(a_hat[:3] - a) / (DETECTION_MC_Z * se_a)),

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import covertrelay
-from covertrelay import params as cp
+from covertrelay import cli, params as cp
 from covertrelay.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -83,7 +83,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_fig2_rejects_zero_mc_blocks(capsys):
     assert main(["fig2", "--mc-blocks", "0"]) == EXIT_USAGE
-    assert "n_blocks must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --mc-blocks must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("n_tau", ["0", "1", "-3"])
@@ -108,7 +108,18 @@ def test_fig2_rejects_eta1_outside_eta0_to_eta_u(capsys, eta1, message):
 
 def test_validate_rejects_zero_mc_blocks(capsys):
     assert main(["validate", "--mc-blocks", "0"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: n_blocks must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "error: --mc-blocks must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["fig2", "validate"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_mc_blocks_below_one_is_rejected_before_any_work(monkeypatch, capsys, command, n):
+    # Checked once, before the config is read or any fraction search runs.
+    monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("work started"))
+    assert main([command, "--mc-blocks", n]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --mc-blocks must be at least 1, got {n}\n"
 
 
 @pytest.mark.parametrize("fraction", ["abc", "1.5", "-0.5", "0", "nan"])

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ from covertrelay import (
     sufficient_statistic,
 )
 from covertrelay.detection import statistic_scale
-from covertrelay import montecarlo
+from covertrelay import montecarlo, validate
 from covertrelay.montecarlo import detection_curve, substream
 from covertrelay.experiments import csv_bytes, run_fig2
 from covertrelay.params import PS, TS
@@ -276,41 +277,147 @@ def test_streamed_kernels_stay_small(params, ts, kernel, limit_mib):
 
 @pytest.mark.parametrize("n", [1, B + 1, 10**5])
 def test_thread_count_cannot_change_results(params, monkeypatch, n):
-    # Reference: every job pair run in order on the calling thread.
+    # References: every job list run on the calling thread, in list order
+    # and in reverse order. fig2 runs one list of two tallies per scheme,
+    # validate one list of all nine of its jobs.
     def run():
         return csv_bytes(run_fig2(params, mc_blocks=n, seed=n)), run_validation(params, seed=n, mc_blocks=n)
 
     threaded = run()
-    monkeypatch.setattr(montecarlo, "_run_pair", lambda first, second: (first(), second()))
+    monkeypatch.setattr(montecarlo, "_run_jobs", lambda jobs: [job() for job in jobs])
     assert run() == threaded
+    sizes = []
+
+    def reverse(jobs):
+        sizes.append(len(jobs))
+        return [job() for job in jobs[::-1]][::-1]
+
+    monkeypatch.setattr(montecarlo, "_run_jobs", reverse)
+    assert run() == threaded
+    assert sizes == [2, 2, 9]
 
 
 class JobError(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["first", "second"])
-def test_run_pair_joins_the_worker_and_raises_the_job_error(failing):
-    error = JobError(failing)
-    threads = {}
+def test_run_jobs_returns_results_in_list_order():
+    # Jobs of uneven length: which thread runs which job depends on timing,
+    # the order of the results does not. Never more than two run at once.
+    sleeps = [0.05, 0.0, 0.03, 0.0, 0.01, 0.02, 0.0]
+    lock = threading.Lock()
+    running, peak, threads = [0], [0], set()
 
-    def job(name):
+    def job(i):
         def run():
-            threads[name] = threading.current_thread()
-            if name == failing:
-                raise error
-            time.sleep(0.05)  # still running when the other job fails
-            return name
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                threads.add(threading.current_thread())
+            time.sleep(sleeps[i])
+            with lock:
+                running[0] -= 1
+            return i
+        return run
+
+    before = threading.active_count()
+    assert montecarlo._run_jobs([job(i) for i in range(len(sleeps))]) == list(range(len(sleeps)))
+    assert peak[0] <= 2
+    assert threading.current_thread() in threads and len(threads) <= 2
+    assert threading.active_count() == before
+    assert montecarlo._run_jobs([]) == []
+
+
+def test_run_jobs_takes_each_job_once_under_contention():
+    # Three lists run at once, six threads in all, switching as often as
+    # the interpreter allows: a job taken twice, or lost, would show in its
+    # count or in the results.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = [[0] * 500 for _ in range(3)]
+        out = [None] * 3
+
+        def job(k, i):
+            def run():
+                counts[k][i] += 1
+                return (k, i)
+            return run
+
+        def run_list(k):
+            out[k] = montecarlo._run_jobs([job(k, i) for i in range(500)])
+
+        outer = [threading.Thread(target=run_list, args=(k,)) for k in range(3)]
+        for t in outer:
+            t.start()
+        for t in outer:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in outer)
+    finally:
+        sys.setswitchinterval(old)
+    for k in range(3):
+        assert counts[k] == [1] * 500
+        assert out[k] == [(k, i) for i in range(500)]
+
+
+@pytest.mark.parametrize("sleeps,failing,first", [
+    ([0.05, 0.2], {0}, 0),
+    ([0.2, 0.05], {1}, 1),
+    ([0.2, 0.05], {0, 1}, 1),  # the first error raised, not the first listed
+], ids=["first-listed", "second-listed", "both"])
+def test_run_jobs_joins_the_worker_and_raises_the_first_error(sleeps, failing, first):
+    # Jobs 0 and 1 run at once; a job failing while the other is still
+    # running stops the list: jobs 2-4 never start.
+    errors = {i: JobError(i) for i in failing}
+    started, threads = [], []
+
+    def job(i):
+        def run():
+            started.append(i)
+            threads.append(threading.current_thread())
+            time.sleep(sleeps[i] if i < 2 else 0.0)
+            if i in errors:
+                raise errors[i]
+            return i
         return run
 
     before = threading.active_count()
     with pytest.raises(JobError) as caught:
-        montecarlo._run_pair(job("first"), job("second"))
-    assert caught.value is error
+        montecarlo._run_jobs([job(i) for i in range(5)])
+    assert caught.value is errors[first]
+    assert first in started and set(started) <= {0, 1}
     assert threading.active_count() == before
-    assert threads["first"] is threading.current_thread()
-    assert threads["second"] is not threading.current_thread()
-    assert not threads["second"].is_alive()
+    assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_buffered_draws_equal_generator_exponential(params, ts, monkeypatch, n):
+    # The detection tallies and both KS jobs draw each block into a reused
+    # buffer; the blocks, joined in order, are Generator.exponential's draws
+    # bit for bit, and leave the stream where it would.
+    real = montecarlo._exponential_into
+    blocks, rngs = [], []
+
+    def record(rng, scale, out):
+        rngs.append(rng)
+        blocks.append(real(rng, scale, out).copy())  # the buffer is overwritten next
+        return out
+
+    monkeypatch.setattr(montecarlo, "_exponential_into", record)
+    monkeypatch.setattr(validate, "KS_DRAWS", n)
+    taus = np.array([params.sigma2_a, 2.0 * params.sigma2_a])
+    cases = [
+        (lambda: montecarlo._count_below(params, ts, 0.7, taus, n, substream(n, POINT_STREAMS[1])), POINT_STREAMS[1]),
+        (lambda: validate._statistic_ks_distance(params, ts, n), montecarlo.STREAMS_KS_STATISTIC[TS]),
+        (lambda: validate._channel_ks_distance(params, n), montecarlo.STREAM_KS_CHANNEL),
+    ]
+    for run, stream in cases:
+        blocks.clear()
+        rngs.clear()
+        run()
+        want = substream(n, stream)
+        assert np.concatenate(blocks).tobytes() == want.exponential(params.lambda_ar, n).tobytes()
+        assert rngs[-1].bit_generator.state == want.bit_generator.state
 
 
 def test_simulate_covert_rate_zero_without_surplus(params, ts):
