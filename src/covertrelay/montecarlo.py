@@ -23,17 +23,16 @@ scheme runs alongside.
 Counts are integer tallies and means are single-pass numpy reductions over
 fixed-order arrays, so identical (params, seed) give bit-identical reports.
 
-The 10^6-block kernels here and validate's KS distances stream through
+The 10^6-block kernels here, gain_ks_distance included, stream through
 blocks of _BLOCK draws, so that no full-size temporary is allocated and
 each block's elementwise passes stay in cache. Their results do not
 depend on the block size: each stream is consumed in order, the threshold
 tallies are integer counts and add exactly, every elementwise operation
 acts on each element alone, and the mean, standard deviation and maximum
 reduce the same values as a one-shot evaluation would. The detection
-tallies and both KS jobs draw into one buffer per call, reused by every
-block (_exponential_into): a standard exponential draw scaled in place by
-the mean, which is how numpy's Generator.exponential computes its draws,
-so the values are exponential's bit for bit.
+tallies and gain_ks_distance draw each block into a buffer
+(_exponential_into): a standard exponential draw scaled in place by the
+mean, as numpy's Generator.exponential computes it, bit for bit.
 
 simulate_covert_rate also reports a linear control-variate estimate of the
 rate (Lavenberg & Welch 1981; Glasserman, Monte Carlo Methods in Financial
@@ -79,6 +78,7 @@ STREAMS_KS_STATISTIC = {TS: 5, PS: 6}
 STREAMS_FIG2 = {TS: (10, 11), PS: (12, 13)}  # (H0, H1)
 
 MC_BLOCKS = 10**6  # default fading blocks per estimate (fig2, validate, --mc-blocks)
+KS_DRAWS = 10**6  # gains per KS distance (gain_ks_distance)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -181,8 +181,7 @@ def detection_curve(
     detector operating curves); each point is still marginally a binomial
     estimate at n_blocks trials.
     """
-    alpha_hat, beta_hat = _run_jobs(detection_jobs(params, scheme, eta1, taus, n_blocks, seed, streams))
-    return alpha_hat, beta_hat
+    return tuple(_run_jobs(detection_jobs(params, scheme, eta1, taus, n_blocks, seed, streams)))
 
 
 def detection_jobs(params, scheme, eta1, taus, n_blocks, seed, streams) -> list:
@@ -208,6 +207,48 @@ def _count_below(params, scheme, eta, taus, n_blocks, rng):
         t.sort()
         counts += np.searchsorted(t, taus, side="left")
     return counts
+
+
+def gain_ks_distance(params: SystemParams, stream: int, seed: int, cdf) -> float:
+    """Kolmogorov-Smirnov distance (_ks_distance) of KS_DRAWS gains of mean lambda_ar from cdf.
+
+    cdf sees blocks of the sorted gains and may overwrite them. A statistic
+    s non-decreasing in the gain is tested as cdf = F(s(g)): sorted gains
+    give the sorted statistics, so the distance is bit for bit that of the
+    statistics, and no array of them is formed.
+    """
+    rng = substream(seed, stream)
+    g = np.empty(KS_DRAWS)
+    for start in range(0, KS_DRAWS, _BLOCK):
+        _exponential_into(rng, params.lambda_ar, g[start:start + _BLOCK])
+    return _ks_distance(g, cdf)
+
+
+def _ks_distance(draws: np.ndarray, cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of draws from a continuous, elementwise CDF.
+
+    Sorts draws in place, then evaluates cdf, i/n - c and c - (i-1)/n on
+    consecutive blocks of the sorted draws into one scratch buffer, keeping
+    a running maximum. Per block, r = (start + [0, 1, ..., m]) / n is formed
+    once: r[1:] is i/n and r[:-1] is (i-1)/n, exact below 2^53. The
+    arithmetic per element is scipy.stats.kstest's and a maximum does not
+    depend on grouping, so the statistic is bit-identical; no p-value is
+    computed.
+    """
+    draws.sort()
+    n = draws.size
+    diff = np.empty(min(n, _BLOCK))
+    d = -np.inf
+    for start in range(0, n, _BLOCK):
+        c = cdf(draws[start:start + _BLOCK])
+        r = np.arange(start, start + c.size + 1.0)
+        r /= n
+        out = diff[:c.size]
+        d = max(d, np.subtract(r[1:], c, out=out).max(), np.subtract(c, r[:-1], out=out).max())
+        # Dropped before the next block's cdf allocates, so a job holds its
+        # draws, diff and one block's arrays at most.
+        del c, r
+    return float(d)
 
 
 def simulate_covert_rate(

@@ -20,7 +20,6 @@ from . import detection, montecarlo, rates, relaying
 from .params import PS, TS, ChannelDraw, SchemeConfig, SystemParams
 
 DEFAULT_FRACTION = 0.5  # harvesting fraction of both schemes' checks
-KS_DRAWS = 10**6
 KS_TOL_STATISTIC = 0.003
 RATE_MC_TOL = 0.02  # rate-quad-vs-mc: relative gap of the quadrature from the Monte Carlo rate
 # Extra draws over the pilot's estimate of what the rate check needs. The
@@ -38,7 +37,7 @@ RATE_DRAW_MARGIN = 1.25
 DETECTION_MC_Z = 4.31
 # channel-ks: the Dvoretzky-Kiefer-Wolfowitz inequality bounds
 # P(D_n > t) <= 2 exp(-2 n t^2), so t = sqrt(ln(2/beta) / 2) / sqrt(n)
-# = 2.2253e-3 at n = KS_DRAWS = 10^6, rounded up (bound 9.6e-5).
+# = 2.2253e-3 at n = montecarlo.KS_DRAWS = 10^6, rounded up (bound 9.6e-5).
 KS_TOL_CHANNEL = 0.00223
 
 
@@ -54,57 +53,16 @@ def _check(name: str, measured: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(measured), float(tolerance), bool(measured <= tolerance))
 
 
-def _ks_distance(draws: np.ndarray, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov distance of draws from a continuous CDF.
+def _statistic_cdf(params: SystemParams, scheme: SchemeConfig):
+    """The H0 statistic's CDF as a function of the gain, for gain_ks_distance; overwrites the gains.
 
-    Sorts draws in place, then evaluates cdf, i/n - c and c - (i-1)/n on
-    consecutive blocks of the sorted draws and keeps a running maximum, so
-    no full-size temporary is allocated. cdf must act elementwise. Per
-    block, r = (start + [0, 1, ..., m]) / n is formed once: r[1:] is i/n and
-    r[:-1] is (i-1)/n, the same values, as integers below 2^53 are exact.
-    Both differences go into one scratch buffer per call. The arithmetic
-    per element is scipy.stats.kstest's and a maximum does not depend on
-    how its values are grouped, so the statistic is bit-identical, but no
-    p-value is computed: the checks only compare the distance with a
-    tolerance.
+    Each step (square, times K >= 0, plus sigma2_a) is non-decreasing in IEEE arithmetic for gains >= 0.
     """
-    draws.sort()
-    n = draws.size
-    diff = np.empty(min(n, montecarlo._BLOCK))
-    d = -np.inf
-    for start in range(0, n, montecarlo._BLOCK):
-        c = cdf(draws[start:start + montecarlo._BLOCK])
-        r = np.arange(start, start + c.size + 1.0)
-        r /= n
-        out = diff[:c.size]
-        d = max(d, np.subtract(r[1:], c, out=out).max(), np.subtract(c, r[:-1], out=out).max())
-        # Dropped before the next block's cdf allocates its temporaries, so
-        # a job holds its draws, diff and one block's arrays at most; two
-        # 10^6-draw KS jobs may run at once.
-        del c, r
-    return float(d)
+    def cdf(g):
+        t = montecarlo.sufficient_statistic(params, scheme, params.eta0, g, out=g)
+        return 1.0 - detection.false_alarm(params, scheme, t)
 
-
-def _statistic_ks_distance(params: SystemParams, scheme: SchemeConfig, seed: int) -> float:
-    """KS distance of KS_DRAWS H0 statistics, on the scheme's own stream, from their CDF.
-
-    Each block of gains is drawn into the one KS_DRAWS array and
-    overwritten there by its statistic; the statistic acts elementwise, so
-    the values are those of one full-size evaluation.
-    """
-    rng = montecarlo.substream(seed, montecarlo.STREAMS_KS_STATISTIC[scheme.variant])
-    t = np.empty(KS_DRAWS)
-    for start in range(0, KS_DRAWS, montecarlo._BLOCK):
-        block = montecarlo._exponential_into(rng, params.lambda_ar, t[start:start + montecarlo._BLOCK])
-        montecarlo.sufficient_statistic(params, scheme, params.eta0, block, out=block)
-    return _ks_distance(t, lambda x: 1.0 - detection.false_alarm(params, scheme, x))
-
-
-def _channel_ks_distance(params: SystemParams, seed: int) -> float:
-    """KS distance of KS_DRAWS channel gains, on STREAM_KS_CHANNEL, from their exponential CDF."""
-    rng = montecarlo.substream(seed, montecarlo.STREAM_KS_CHANNEL)
-    g = montecarlo._exponential_into(rng, params.lambda_ar, np.empty(KS_DRAWS))
-    return _ks_distance(g, lambda x: -np.expm1(-x / params.lambda_ar))
+    return cdf
 
 
 def _covert_rate_estimate(params: SystemParams, scheme: SchemeConfig, eta1: float, mc_blocks: int,
@@ -196,14 +154,14 @@ def run_validation(
 
     # Every Monte Carlo job runs first, from one list, two at a time
     # (montecarlo._run_jobs); the checks below only read the results. The
-    # list goes longest first, as measured at the defaults: the two
-    # 10^6-draw statistic KS jobs (about 40 ms each), channel-ks (34 ms),
-    # the rate estimates (6-17 ms; up to 10^6 draws and 50-75 ms at 60
-    # dBm), then the four 10^5-draw detection tallies (about 1.5 ms each).
-    # The short jobs fill in at the end, so both threads finish close
-    # together.
-    jobs = [*(partial(_statistic_ks_distance, params, s, seed) for s in schemes),
-            partial(_channel_ks_distance, params, seed),
+    # list goes longest first, as measured at the defaults: the three KS
+    # jobs (34-40 ms each), the rate estimates (6-17 ms; 50-75 ms at 60
+    # dBm), then the four 10^5-draw detection tallies (about 1.5 ms each),
+    # which fill in at the end, so both threads finish close together.
+    jobs = [*(partial(montecarlo.gain_ks_distance, params, montecarlo.STREAMS_KS_STATISTIC[s.variant], seed,
+                      _statistic_cdf(params, s)) for s in schemes),
+            partial(montecarlo.gain_ks_distance, params, montecarlo.STREAM_KS_CHANNEL, seed,
+                    lambda g: -np.expm1(-g / params.lambda_ar)),
             *(partial(_covert_rate_estimate, params, s, eta1_mid, mc_blocks, seed) for s in schemes)]
     for s, taus in zip(schemes, det_taus):
         jobs += montecarlo.detection_jobs(params, s, eta1_mid, taus, n_det, seed,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from covertrelay import SchemeConfig, SystemParams, default_params
+from covertrelay import SchemeConfig, SystemParams, default_params, montecarlo
 from covertrelay.params import PS, TS
+
+# Draw counts around the Monte Carlo streaming block size, plus one 10^6 run.
+B = montecarlo._BLOCK
+BLOCK_EDGE_SIZES = [1, B - 1, B, B + 1, 3 * B + 7, 10**6]
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from covertrelay.experiments import csv_bytes, run_fig2
 from covertrelay.params import PS, TS
 from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
-from conftest import random_params
+from conftest import B, BLOCK_EDGE_SIZES, random_params
 
 XI_STAR_4_7 = 0.8973990224044965
 
@@ -33,10 +33,6 @@ XI_STAR_4_7 = 0.8973990224044965
 # checks from streams 3/4, whatever the scheme.
 POINT_STREAMS = montecarlo.STREAMS_DETECTION[TS]
 GRID_STREAMS = montecarlo.STREAMS_DETECTION[PS]
-
-# Draw counts around the streaming block size, plus one 10^6 run.
-B = montecarlo._BLOCK
-BLOCK_EDGE_SIZES = [1, B - 1, B, B + 1, 3 * B + 7, 10**6]
 
 
 def test_statistic_noise_floor(params, ts):
@@ -392,9 +388,9 @@ def test_run_jobs_joins_the_worker_and_raises_the_first_error(sleeps, failing, f
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_buffered_draws_equal_generator_exponential(params, ts, monkeypatch, n):
-    # The detection tallies and both KS jobs draw each block into a reused
-    # buffer; the blocks, joined in order, are Generator.exponential's draws
-    # bit for bit, and leave the stream where it would.
+    # The detection tallies and the KS job draw each block into a buffer;
+    # the blocks, joined in order, are Generator.exponential's draws bit for
+    # bit, and leave the stream where it would.
     real = montecarlo._exponential_into
     blocks, rngs = [], []
 
@@ -404,12 +400,12 @@ def test_buffered_draws_equal_generator_exponential(params, ts, monkeypatch, n):
         return out
 
     monkeypatch.setattr(montecarlo, "_exponential_into", record)
-    monkeypatch.setattr(validate, "KS_DRAWS", n)
+    monkeypatch.setattr(montecarlo, "KS_DRAWS", n)
     taus = np.array([params.sigma2_a, 2.0 * params.sigma2_a])
+    ks_stream = montecarlo.STREAMS_KS_STATISTIC[TS]
     cases = [
         (lambda: montecarlo._count_below(params, ts, 0.7, taus, n, substream(n, POINT_STREAMS[1])), POINT_STREAMS[1]),
-        (lambda: validate._statistic_ks_distance(params, ts, n), montecarlo.STREAMS_KS_STATISTIC[TS]),
-        (lambda: validate._channel_ks_distance(params, n), montecarlo.STREAM_KS_CHANNEL),
+        (lambda: montecarlo.gain_ks_distance(params, ks_stream, n, validate._statistic_cdf(params, ts)), ks_stream),
     ]
     for run, stream in cases:
         blocks.clear()

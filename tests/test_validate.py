@@ -6,8 +6,11 @@ from scipy import stats
 
 from covertrelay import average_covert_rate, default_params, detection, montecarlo
 from covertrelay.params import PS, TS, SchemeConfig, dbm_to_watts
-from covertrelay.validate import (KS_DRAWS, RATE_MC_TOL, _check, _covert_rate_estimate, _ks_distance,
-                                  _proportion_halfwidth, format_report, run_validation)
+from covertrelay.montecarlo import KS_DRAWS, _ks_distance
+from covertrelay.validate import (RATE_MC_TOL, _check, _covert_rate_estimate, _proportion_halfwidth,
+                                  _statistic_cdf, format_report, run_validation)
+
+from conftest import BLOCK_EDGE_SIZES
 
 SEED = 101
 
@@ -97,10 +100,7 @@ def _one_shot_ks_distance(draws, cdf):
     return float(max(np.max(np.arange(1.0, n + 1) / n - c), np.max(c - np.arange(0.0, n) / n)))
 
 
-B = montecarlo._BLOCK
-
-
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 10**6])
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_ks_distance_bit_identical_to_one_shot(params, n):
     # Both CDFs validate tests against: the H0 statistic's and the channel gain's.
     g = montecarlo.substream(n, montecarlo.STREAM_KS_CHANNEL).exponential(params.lambda_ar, n)
@@ -112,10 +112,28 @@ def test_ks_distance_bit_identical_to_one_shot(params, n):
         assert _ks_distance(draws.copy(), cdf) == _one_shot_ks_distance(draws, cdf)
 
 
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_statistic_ks_on_sorted_gains_equals_the_statistics_own(params, monkeypatch, n):
+    # statistic-cdf-ks evaluates the statistic's CDF on blocks of sorted
+    # gains. It equals the KS distance of the materialised, sorted statistic
+    # bit for bit: at the defaults, at a Pa where K is subnormal, and at one
+    # where K underflows to 0 (every statistic is the noise floor).
+    monkeypatch.setattr(montecarlo, "KS_DRAWS", n)
+    for pa in (params.Pa, 1e-310, 1e-320):
+        point = params.with_updates(Pa=pa)
+        for scheme in (SchemeConfig(TS, 0.5), SchemeConfig(PS, 0.5)):
+            stream = montecarlo.STREAMS_KS_STATISTIC[scheme.variant]
+            g = montecarlo.substream(n, stream).exponential(point.lambda_ar, n)
+            t = montecarlo.sufficient_statistic(point, scheme, point.eta0, g)
+            assert np.array_equal(np.sort(t), montecarlo.sufficient_statistic(point, scheme, point.eta0, np.sort(g)))
+            want = _ks_distance(t, lambda x: 1.0 - detection.false_alarm(point, scheme, x))
+            assert montecarlo.gain_ks_distance(point, stream, n, _statistic_cdf(point, scheme)) == want
+
+
 def test_validation_stays_small():
     # At most two 10^6-draw KS jobs in flight, each holding one 7.6 MiB
-    # array plus a block's temporaries: a statistic KS job overwrites its
-    # gains with the statistic. The rate jobs draw fewer at the defaults.
+    # array of gains plus a block's temporaries: a statistic KS job forms
+    # each block's statistic in place. The rate jobs draw fewer at the defaults.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
