@@ -22,7 +22,7 @@ from covertrelay.detection import statistic_scale
 from covertrelay import montecarlo, validate
 from covertrelay.montecarlo import detection_curve, substream
 from covertrelay.experiments import csv_bytes, run_fig2
-from covertrelay.params import PS, TS
+from covertrelay.params import PS, TS, dbm_to_watts
 from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
 from conftest import B, BLOCK_EDGE_SIZES, random_params
@@ -183,7 +183,8 @@ def test_simulate_covert_rate_bit_identical_to_one_shot(params, ts, ps, n):
 def _one_shot_control_variate(params, scheme, eta1, n_blocks, seed):
     # Reference: all draws at once, the controls written as ln(g / lambda) +
     # gamma, and numpy's least-squares solver on [1, controls]; the
-    # half-width from the residual sum of squares and (X^T X)^-1.
+    # half-width from the residual sum of squares and (X^T X)^-1. Also the
+    # rate's centred sum of squares over the residual one, syy / rss.
     rng = substream(seed, montecarlo.STREAM_RATE)
     g_ar = rng.exponential(params.lambda_ar, n_blocks)
     g_rb = rng.exponential(params.lambda_rb, n_blocks)
@@ -193,20 +194,27 @@ def _one_shot_control_variate(params, scheme, eta1, n_blocks, seed):
                          u - 1.0, v - 1.0, u * v - 1.0])
     coef, rss, _, _ = np.linalg.lstsq(x, y, rcond=None)
     var = rss[0] / (n_blocks - x.shape[1]) * np.linalg.inv(x.T @ x)[0, 0]
-    return coef[0], montecarlo.Z95 * np.sqrt(var)
+    return coef[0], montecarlo.Z95 * np.sqrt(var), np.sum(np.square(y - np.mean(y))) / rss[0]
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_control_variate_matches_least_squares(params, ts, ps, n):
-    for scheme in (ts, ps):
-        rep = simulate_covert_rate(params, scheme, 0.7, n, seed=n)
-        if n < 7:  # no residual left: the plain estimate stands in
-            assert rep.c_cv == rep.c_hat
-            continue
-        c_cv, half = _one_shot_control_variate(params, scheme, 0.7, n, n)
-        assert rep.c_cv == pytest.approx(c_cv, rel=1e-12)
-        assert rep.cv_halfwidth == pytest.approx(half, rel=1e-9)
-        assert rep.cv_halfwidth < rep.ci_halfwidth
+    # At the defaults and at high SNR, where the rate's mean lies far above
+    # its spread (Pa in dBm). At 300 dBm the controls explain all but about
+    # 1e-10 of the rate's variance: rss = syy - b . sxy then magnifies the
+    # sums' relative rounding, about sqrt(n) eps, by syy / rss.
+    for pa_dbm in (None, 90.0, 150.0, 300.0):
+        point = params if pa_dbm is None else params.with_updates(Pa=dbm_to_watts(pa_dbm))
+        for scheme in (ts, ps):
+            rep = simulate_covert_rate(point, scheme, 0.7, n, seed=n)
+            if n < 7:  # no residual left: the plain estimate stands in
+                assert rep.c_cv == rep.c_hat
+                continue
+            c_cv, half, conditioning = _one_shot_control_variate(point, scheme, 0.7, n, n)
+            assert rep.c_cv == pytest.approx(c_cv, rel=1e-12)
+            rounding = np.sqrt(n) * np.finfo(float).eps * conditioning
+            assert rep.cv_halfwidth == pytest.approx(half, rel=max(1e-9, rounding))
+            assert rep.cv_halfwidth < rep.ci_halfwidth
 
 
 @pytest.mark.parametrize("n", [2, 6, 7])
