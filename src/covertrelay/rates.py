@@ -693,7 +693,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         g = fc * (1.0 - fc)  # df/dv
         a = relaying.link_gains(lanes, draw).a
         noise = relay_noise_power(scheme, lanes.sigma2_ra, lanes.sigma2_rc)
-        k = a * lanes.sigma2_rc * c.r / noise**2
+        k = (a / noise) * (lanes.sigma2_rc / noise) * c.r  # ratios: a squared power can overflow
         dk = k * (lanes.sigma2_ra + (a + lanes.sigma2_ra) * c.r) / noise
         lv1, lvv1 = fc - 1.0, g
         lv2 = lv1 - g * k

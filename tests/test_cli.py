@@ -250,6 +250,27 @@ def test_epsilon_one_runs_every_rate_recipe(tmp_path, capsys):
     assert main(["sweep", "--param", "epsilon", "--values", "0.5,1", "--fraction", "0.5"]) == EXIT_OK
 
 
+def _columns(out: str, names: tuple) -> list[tuple]:
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    return [tuple(dict(zip(header, line.split(",")))[name] for name in names) for line in lines[1:]]
+
+
+def test_fraction_search_does_not_depend_on_the_power_unit(tmp_path, capsys):
+    # Pa and all five noise variances raised by the same 1700 dB leave every
+    # SNR, and so each scheme's fraction and psi_star, as at the defaults.
+    # No power may be squared on the way: at 1620 dBm that overflowed, and
+    # PS returned its 0.001 bound.
+    cfg = tmp_path / "scaled.cfg"
+    noises = ("sigma2_ra", "sigma2_rc", "sigma2_ba", "sigma2_bc", "sigma2_a")
+    cfg.write_text("Pa = 1720\n" + "".join(f"{key} = 1620\n" for key in noises), encoding="utf-8")
+    argv = ["sweep", "--param", "eta0", "--values", "0.4", "--fraction", "auto"]
+    assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+    scaled = _columns(capsys.readouterr().out, ("scheme", "fraction", "psi_star"))
+    assert main(argv) == EXIT_OK
+    assert scaled == _columns(capsys.readouterr().out, ("scheme", "fraction", "psi_star"))
+
+
 @pytest.mark.parametrize("argv", [
     ["fig5"],
     ["sweep", "--param", "Pa", "--values", "0,20", "--fraction", "0.5"],

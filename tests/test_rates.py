@@ -250,6 +250,18 @@ def test_optimize_harvest_fraction_local_optimum(params, variant):
     assert optimize_harvest_fractions(lane_values([params]), variant)[0] == best
 
 
+@pytest.mark.parametrize("shift_db", [-1600.0, -300.0, 300.0, 1700.0])
+def test_fraction_search_does_not_depend_on_the_power_unit(params, shift_db):
+    # Pa and all five noise variances scaled by one factor leave every SNR,
+    # and so the optimal fractions, unchanged up to rounding.
+    k = 10.0 ** (shift_db / 10.0)
+    scaled = params.with_updates(Pa=params.Pa * k, **{key: getattr(params, key) * k for key in (
+        "sigma2_ra", "sigma2_rc", "sigma2_ba", "sigma2_bc", "sigma2_a")})
+    for variant in ("ts", "ps"):
+        want = optimize_harvest_fractions(lane_values([params]), variant)[0]
+        assert optimize_harvest_fractions(lane_values([scaled]), variant)[0] == pytest.approx(want, rel=1e-14)
+
+
 def test_ts_objective_vanishes_at_boundaries(params):
     def objective(f):
         return (1.0 - f) / 2.0 * expected_rate_h0(params, SchemeConfig(TS, f))
