@@ -256,9 +256,8 @@ def run_sweep(
         schemes = []
         for variant in variants:
             scheme = SchemeConfig(variant, fractions[variant][i])
-            # nan where eta1* = eta0, at which the optimal threshold is undefined.
-            tau_star = (detection.optimal_threshold(point, scheme, eta1_star) if eta1_star > point.eta0
-                        else float("nan"))
+            # An empty field where eta1* = eta0, at which the optimal threshold is undefined.
+            tau_star = detection.optimal_threshold(point, scheme, eta1_star) if eta1_star > point.eta0 else None
             extra = {"swept_param": param_name, "swept_value": float(value), "tau_star_w": tau_star,
                      "xi_star": xi_star}
             schemes.append((variant, scheme.fraction, extra, rates.average_covert_rate(point, scheme, eta1_star)))

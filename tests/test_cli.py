@@ -250,6 +250,16 @@ def test_epsilon_one_runs_every_rate_recipe(tmp_path, capsys):
     assert main(["sweep", "--param", "epsilon", "--values", "0.5,1", "--fraction", "0.5"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("param,value", [("epsilon", "0"), ("eta0", "0.8")])
+def test_undefined_threshold_is_an_empty_field(capsys, param, value):
+    # At eta1* = eta0 (epsilon = 0, or eta0 = eta_u = 0.8) no threshold is
+    # defined: sweep writes an empty tau_star_w, and no nan, at exit 0.
+    assert main(["sweep", "--param", param, "--values", value, "--fraction", "0.5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert _columns(out, ("tau_star_w",)) == [("",), ("",)]
+
+
 def _columns(out: str, names: tuple) -> list[tuple]:
     lines = out.splitlines()
     header = lines[0].split(",")

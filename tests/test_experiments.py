@@ -182,7 +182,7 @@ def _csv_reference(rows: list[dict]) -> bytes:
     ex.run_fig5,
     ex.run_fig6,
     lambda p: ex.run_sweep(p, "Pa", list(np.linspace(-10.0, 32.0, 5))),
-    lambda p: ex.run_sweep(p, "eta0", [0.8, 0.4], fraction=0.5),  # a nan tau_star_w
+    lambda p: ex.run_sweep(p, "eta0", [0.8, 0.4], fraction=0.5),  # an empty tau_star_w
 ], ids=["fig2", "fig3", "fig4", "fig4-fixed", "fig5", "fig6", "sweep-Pa", "sweep-eta0"])
 def test_csv_bytes_equals_the_csv_writer_reference_on_recipe_rows(params, recipe):
     rows = recipe(params)
