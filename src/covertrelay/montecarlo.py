@@ -15,8 +15,8 @@ scheme runs alongside.
     TS      PS      name                  use
     0/1     3/4     STREAMS_DETECTION     validate: detection H0/H1 draws
     2       2       STREAM_RATE           rate draws (both hops; validate's pilot too)
-    5       6       STREAMS_KS_STATISTIC  validate: H0 statistic KS test
-    7       7       STREAM_KS_CHANNEL     validate: channel-gain KS test
+    5       6       STREAMS_KS_STATISTIC  gain_ks_distance: validate's H0 statistic KS test
+    7       7       STREAM_KS_CHANNEL     gain_ks_distance: validate's channel-gain KS test
     10/11   12/13   STREAMS_FIG2          fig2 Monte Carlo H0/H1 columns
     999     999     STREAM_POWER_ALGEBRA  validate: random power-algebra tuples
 
@@ -51,7 +51,8 @@ time (_run_jobs): the calling thread and one worker thread each take the
 next job from the list until it is empty (Graham's list scheduling), so a
 long job on one thread does not hold up the rest of the list. fig2 runs
 each scheme's H0 and H1 tallies (detection_curve); validate submits all
-nine of its jobs as one list (detection_jobs hands it the tallies). Their
+nine of its jobs as one list: three gain_ks_distance jobs, two rate
+estimates, and the four tallies that detection_jobs hands it. Their
 work is numpy draws, sorts and ufunc passes, which release the interpreter
 lock. Which thread runs a job, and in what order, cannot change a result:
 each job draws from its own stream, consumes it in order and reduces only

@@ -620,7 +620,12 @@ def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[tuple, tuple]:
 
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
-    """Fading average of log2(1 + snr) for the forwarded signal, no covert data."""
+    """Fading average of log2(1 + snr) for the forwarded signal, no covert data.
+
+    No command calls it: the fraction search sums the same h0 terms per lane
+    (_h0_slopes). It is kept as the search tests' one-point oracle of the
+    objective, and the benchmark times and checks it as its h0 probe.
+    """
     c = relaying.downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
     start = _h0_start(c.p[_PROBE].tolist(), c.r[_PROBE].tolist())
     n = c.p.size - start
