@@ -271,12 +271,13 @@ def simulate_covert_rate(
     # The stream yields every g_ar before the first g_rb. The g_ar are drawn
     # straight into values, and each block's rates overwrite their own gains.
     values = rng.exponential(params.lambda_ar, n_blocks)
-    shift, sums = np.zeros(_CONTROLS + 1), np.zeros(_CONTROLS + 1)
+    sums = np.zeros(_CONTROLS + 1)
     cross = np.zeros((_CONTROLS + 1, _CONTROLS + 1))
+    shift = None
     for start in range(0, n_blocks, _BLOCK):
         g_ar = values[start:start + _BLOCK]
         draw = ChannelDraw(g_ar=g_ar, g_rb=rng.exponential(params.lambda_rb, g_ar.size))
-        _add_block(params, scheme, eta1, draw, start == 0, shift, sums, cross)
+        shift = _add_block(params, scheme, eta1, draw, sums, cross, shift)
     c_hat = float(np.mean(values))
     if n_blocks > 1:
         # np.std(values, ddof=1) step by step, in place: the values are not
@@ -291,21 +292,21 @@ def simulate_covert_rate(
     return SimulationReport(c_hat=c_hat, ci_halfwidth=half, c_cv=c_cv, cv_halfwidth=cv_half)
 
 
-def _add_block(params, scheme, eta1, draw, first, shift, sums, cross) -> None:
-    """Add one block's moments about shift to sums and cross, and overwrite draw.g_ar with its rates.
+def _add_block(params, scheme, eta1, draw, sums, cross, shift: float | None) -> float:
+    """Add one block's moments to sums and cross, overwrite draw.g_ar with its rates, and return shift.
 
     Row i of the block's w holds, per draw:
         0, 1  ln g - (ln lambda - gamma) for g_ar and g_rb, lambda the gain's mean
         2, 3  g / lambda - 1 for g_ar and g_rb
         4     g_ar g_rb / (lambda_ar lambda_rb) - 1 (the hops are independent)
-        5     the rate, log2(1 + snr)
+        5     the rate, log2(1 + snr), minus shift
     Rows 0-4 are the _CONTROLS controls, each of mean 0 under the
-    exponential fading law. The first block sets shift to its row means.
-    Each block's w - shift then adds its row sums to sums and its sum of
-    outer products to the upper triangle of cross: moments about a point
-    near the mean, which do not cancel where the rate's mean is far above
-    its spread (high SNR). The block's arrays die with the call, so they
-    never meet the next block's temporaries.
+    exponential fading law. shift is the first block's mean rate (taken
+    here when shift is None), so the moments of row 5 do not cancel where
+    the rate's mean lies far above its spread (high SNR). sums gains the
+    row sums and the upper triangle of cross gains the block's sum of
+    w w^T. The block's arrays die with the call, so they never meet the
+    next block's temporaries.
     """
     snr = relaying.covert_snr(params, scheme, eta1, draw)
     snr += 1.0
@@ -319,19 +320,20 @@ def _add_block(params, scheme, eta1, draw, first, shift, sums, cross) -> None:
         w[2:5] -= 1.0
         np.log2(snr, out=w[5])
         draw.g_ar[...] = w[5]
-        if first:
-            shift[...] = w.mean(axis=1)
-        w -= shift[:, None]
+        if shift is None:
+            shift = float(np.mean(w[5]))
+        w[5] -= shift
         sums += w.sum(axis=1)
         for i, row in enumerate(w):
             cross[i, i:] += np.einsum("jk,k->j", w[i:], row)
+    return shift
 
 
-def _control_variate(n: int, shift: np.ndarray, sums: np.ndarray, cross: np.ndarray) -> tuple[float, float] | None:
+def _control_variate(n: int, shift: float, sums: np.ndarray, cross: np.ndarray) -> tuple[float, float] | None:
     """(estimate, 95% half-width) of the control-variate fit, or None if there is no fit.
 
-    sums and cross are the sums over n draws of w - shift and of its outer
-    products (upper triangle only) for w = [controls, rate]. The estimate
+    sums and cross are the sums over n draws of w and of w w^T (upper
+    triangle only) for w = [controls, rate - shift]. The estimate
     is the fit's intercept, ybar - b . xbar, with b the slopes from the
     centred normal equations. Its variance is the ordinary least-squares one,
     s^2 (1/n + xbar^T Sxx^-1 xbar), where s^2 is the residual sum of
@@ -342,11 +344,10 @@ def _control_variate(n: int, shift: np.ndarray, sums: np.ndarray, cross: np.ndar
     dof = n - _CONTROLS - 1
     if dof < 1 or not (np.isfinite(sums).all() and np.isfinite(cross).all()):
         return None
-    mean = sums / n  # about shift
+    mean = sums / n
     centred = cross + np.triu(cross, 1).T - n * np.multiply.outer(mean, mean)
     sxx, sxy, syy = centred[:-1, :-1], centred[:-1, -1], centred[-1, -1]
-    mean += shift
-    xbar, ybar = mean[:-1], mean[-1]
+    xbar, ybar = mean[:-1], mean[-1] + shift
     try:
         b, sxx_inv_xbar = np.linalg.solve(sxx, np.stack([sxy, xbar], axis=1)).T
     except np.linalg.LinAlgError:
