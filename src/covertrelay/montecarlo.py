@@ -333,9 +333,9 @@ def _control_variate(n: int, shift: float, sums: np.ndarray, cross: np.ndarray) 
     """(estimate, 95% half-width) of the control-variate fit, or None if there is no fit.
 
     sums and cross are the sums over n draws of w and of w w^T (upper
-    triangle only) for w = [controls, rate - shift]. The estimate
-    is the fit's intercept, ybar - b . xbar, with b the slopes from the
-    centred normal equations. Its variance is the ordinary least-squares one,
+    triangle only) for w = [controls, rate - shift]. The estimate is the
+    fit's intercept, ybar - b . xbar, with b the slopes from the centred
+    normal equations. Its variance is the ordinary least-squares one,
     s^2 (1/n + xbar^T Sxx^-1 xbar), where s^2 is the residual sum of
     squares over n - _CONTROLS - 1 degrees of freedom. There is no fit
     below _CONTROLS + 2 draws, for a singular Sxx, or when a sum is not

@@ -56,7 +56,8 @@ def _check(name: str, measured: float, tolerance: float) -> CheckResult:
 def _statistic_cdf(params: SystemParams, scheme: SchemeConfig):
     """The H0 statistic's CDF as a function of the gain, for gain_ks_distance; overwrites the gains.
 
-    Each step (square, times K >= 0, plus sigma2_a) is non-decreasing in IEEE arithmetic for gains >= 0.
+    Each step of the statistic (square, times K >= 0, plus sigma2_a) is
+    non-decreasing in IEEE arithmetic for gains >= 0.
     """
     def cdf(g):
         t = montecarlo.sufficient_statistic(params, scheme, params.eta0, g, out=g)

@@ -269,8 +269,8 @@ def _columns(out: str, names: tuple) -> list[tuple]:
 def test_fraction_search_does_not_depend_on_the_power_unit(tmp_path, capsys):
     # Pa and all five noise variances raised by the same 1700 dB leave every
     # SNR, and so each scheme's fraction and psi_star, as at the defaults.
-    # No power may be squared on the way: at 1620 dBm that overflowed, and
-    # PS returned its 0.001 bound.
+    # No power may be squared on the way: at 1620 dBm its square overflows,
+    # and PS would stop at its 0.001 bound.
     cfg = tmp_path / "scaled.cfg"
     noises = ("sigma2_ra", "sigma2_rc", "sigma2_ba", "sigma2_bc", "sigma2_a")
     cfg.write_text("Pa = 1720\n" + "".join(f"{key} = 1620\n" for key in noises), encoding="utf-8")
