@@ -203,8 +203,7 @@ def test_control_variate_matches_least_squares(params, ts, ps, n):
     # its spread (Pa in dBm). At 300 dBm the controls explain all but about
     # 1e-10 of the rate's variance: rss = syy - b . sxy then magnifies the
     # sums' relative rounding, about sqrt(n) eps, by syy / rss.
-    for pa_dbm in (None, 90.0, 150.0, 300.0):
-        point = params if pa_dbm is None else params.with_updates(Pa=dbm_to_watts(pa_dbm))
+    for point in (params, *(params.with_updates(Pa=dbm_to_watts(pa_dbm)) for pa_dbm in (90.0, 150.0, 300.0))):
         for scheme in (ts, ps):
             rep = simulate_covert_rate(point, scheme, 0.7, n, seed=n)
             if n < 7:  # no residual left: the plain estimate stands in
