@@ -31,10 +31,8 @@ from .params import (
     relay_noise_power,
 )
 from .rates import (
-    OptimizationOutcome,
     RateResult,
     average_covert_rate,
-    max_effective_covert_rate,
     optimal_eta1,
 )
 from .relaying import (
@@ -60,7 +58,6 @@ __all__ = [
     "ChannelDraw",
     "DetectionPoint",
     "LinkGains",
-    "OptimizationOutcome",
     "PowerAllocation",
     "RateResult",
     "SchemeConfig",
@@ -77,7 +74,6 @@ __all__ = [
     "false_alarm",
     "harvested_power_total",
     "load_config",
-    "max_effective_covert_rate",
     "min_detection_error",
     "miss_detection",
     "optimal_eta1",

@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run the closed-form cross-validation suite")
     _add_common(pv, scheme=False)
     pv.add_argument("--fraction", default=None, metavar="X|auto",
-                    help="harvesting fraction used by scheme-specific checks "
-                         f"(default {validate.DEFAULT_FRACTION})")
+                    help="harvesting fraction used by scheme-specific checks; 'auto', here and in "
+                         f"the config file, means the default {validate.DEFAULT_FRACTION} (no search)")
     pv.add_argument("--self-test", action="store_true",
                     help="inject a deliberate closed-form perturbation; the suite must fail")
 

@@ -137,7 +137,7 @@ def run_fig2(
     lanes = rates.lane_values([params])
     schemes = [SchemeConfig(v, resolve_fractions(lanes, v, fraction)[0]) for v in variants]
     deltas = [detection.optimal_threshold(params, s, eta1) - params.sigma2_a for s in schemes]
-    relaying._check_eta1(params, eta1)  # optimal_threshold rejects eta1 <= eta0, this eta1 > eta_u
+    relaying.check_eta1(params, eta1)  # optimal_threshold rejects eta1 <= eta0, this eta1 > eta_u
     lo = 0.5 * params.sigma2_a  # below the noise floor, where xi = 1
     hi = params.sigma2_a + 1e3 * max(deltas)
     tau_grid = np.geomspace(lo, hi, n_tau)
@@ -191,10 +191,15 @@ def _fig4_points(params: SystemParams) -> list[SystemParams]:
             for epsilon in FIG4_EPSILONS for eta0 in fig4_eta0_grid(params.eta_u)]
 
 
+def _eta0_dagger(point: SystemParams) -> float:
+    """phi_epsilon * eta_u: the eta0 from which the harvester cap, not covertness, binds."""
+    return detection.solve_phi_epsilon(point.epsilon) * point.eta_u
+
+
 def run_fig4(params: SystemParams, fraction="auto", variants=_DEFAULT_VARIANTS) -> list[dict]:
     """Maximum effective covert rate versus eta0 for a set of covertness targets."""
     points = _fig4_points(params)
-    extras = [{"eta0_dagger": detection.solve_phi_epsilon(p.epsilon) * params.eta_u} for p in points]
+    extras = [{"eta0_dagger": _eta0_dagger(p)} for p in points]
     return _rate_rows(points, extras, fraction, variants)
 
 
@@ -202,13 +207,12 @@ def run_fig5(params: SystemParams) -> list[dict]:
     """Realized efficiency ratio eta0/eta1* versus eta0 (scheme-independent)."""
     rows = []
     for point in _fig4_points(params):
-        phi_eps = detection.solve_phi_epsilon(point.epsilon)
         eta1_star, binding = rates.optimal_eta1(point)
         rows.append({
             "scheme": "both",
             "phi": point.eta0 / eta1_star,
-            "phi_eps": phi_eps,
-            "eta0_dagger": phi_eps * params.eta_u,
+            "phi_eps": detection.solve_phi_epsilon(point.epsilon),
+            "eta0_dagger": _eta0_dagger(point),
             "eta1_star": eta1_star,
             "binding": binding,
             **params_columns(point),

@@ -5,7 +5,7 @@ g_rb = lambda_rb * y inside a 1-D rule over the uplink gain g_ar. Both
 rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
 
 * Inner. For fixed g_ar both SNRs are rational in y
-  (relaying.downlink_coefficients of that draw), so log(1 + snr) is a
+  (_downlink_coefficients of that draw), so log(1 + snr) is a
   signed sum of log(1 + y/c) over the roots -c of linear and quadratic
   factors. For y ~ Exp(1), E[ln(1 + y/c)] = h(c) with h(z) = e^z E1(z)
   (Gradshteyn & Ryzhik 4.337.1). A complex root pair of the covert
@@ -63,8 +63,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import detection, relaying
-from .params import (PS, TS, ChannelDraw, SchemeConfig, SystemParams, effective_rate_prefactor,
-                     relay_noise_power)
+from .params import (PS, TS, ChannelDraw, SchemeConfig, SystemParams, effective_rate_prefactor, harvest_coeff,
+                     info_share, relay_noise_power)
 
 QUAD_ERROR_LIMIT = 1e-6
 
@@ -81,11 +81,6 @@ _SEARCH_MAXITER = 64  # bisection alone would need about 17 steps
 # documented domain, about one step fewer than f = 0.5.
 _SEARCH_START = {TS: 1.5, PS: 4.5}
 
-# Fields a rate lane carries: those relaying.downlink_coefficients and the
-# outer nodes read.
-_LANE_FIELDS = ("Pa", "L_ar", "L_rb", "sigma2_b", "sigma2_ra", "sigma2_rc", "eta0", "eta_u",
-                "lambda_ar", "lambda_rb")
-_LANE_OF = attrgetter(*_LANE_FIELDS)
 # The batched functions evaluate their distinct lanes in blocks of this many,
 # so a block's node arrays (lanes x 201 outer nodes) hold about 2^14
 # elements, cache-sized like montecarlo._BLOCK, and a call's memory does not
@@ -298,15 +293,6 @@ class RateResult:
         return self.quad_error <= QUAD_ERROR_LIMIT
 
 
-@dataclass(frozen=True)
-class OptimizationOutcome:
-    """Optimal efficiency, the rate it achieves, and which constraint binds."""
-
-    eta1_star: float
-    psi_star: float
-    binding: str
-
-
 def _h(z, slopes=False):
     """h(z) = e^z E1(z) elementwise, for real z > 0 or complex z with Re z > 0.
 
@@ -406,6 +392,42 @@ def _outer_nodes(params, nodes=slice(None)) -> ChannelDraw:
     return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T[nodes], g_rb=params.lambda_rb)
 
 
+# Fields a rate lane carries: those _downlink_coefficients and _outer_nodes
+# read.
+_LANE_FIELDS = ("Pa", "L_ar", "L_rb", "sigma2_b", "sigma2_ra", "sigma2_rc", "eta0", "eta_u",
+                "lambda_ar", "lambda_rb")
+_LANE_OF = attrgetter(*_LANE_FIELDS)
+
+
+def _downlink_coefficients(params, scheme: SchemeConfig, eta1, draw: ChannelDraw) -> tuple:
+    """(p, dp, r): both destination SNRs of a draw as rational functions of a downlink gain scale y.
+
+    For the link gains of the draw with g_rb scaled by y:
+        1 + snr_h0 = (1 + p y) / (1 + p r y)
+        covert snr = dp y / (1 + p (1 + r) y + r p (p + dp) y^2)
+    so y = 1 gives the SNRs of the draw itself.
+
+    p: H0 forward power times L_rb g_rb / sigma2_b [-].
+    dp: covert surplus, (eta1 - eta0) / eta0 * p in factored form [-].
+    r: relay-noise share of the forwarded power, s2r / (s + s2r) [-].
+
+    1 + covert snr factors as (1 + (p + dp) y)(1 + p r y) over the covert
+    denominator, so both log(1 + snr) are sums of logs of polynomials in y
+    with closed-form expectations when g_rb is exponential.
+
+    The params fields meet only arithmetic and array-wise checks, so the
+    lane kernels pass a params stand-in whose fields are (lanes, 1) columns
+    (_lanes), with a SchemeConfig whose fraction is such a column, and get
+    one row per lane.
+    """
+    relaying.check_eta1(params, eta1)
+    g = relaying.link_gains(params, draw)
+    s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
+    per_eta = harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
+    s = info_share(scheme) * g.a
+    return params.eta0 * per_eta, (eta1 - params.eta0) * per_eta, s2r / (s + s2r)
+
+
 def _first_nodes(slope, low):
     """First kept outer node: node values are at most slope * e^t, the sum at least low.
 
@@ -471,7 +493,7 @@ def lane_values(points) -> list[tuple]:
 def _lanes(values) -> SimpleNamespace:
     """The _LANE_FIELDS of each lane, as one (lanes, 1) column each.
 
-    relaying.downlink_coefficients only does arithmetic on these fields, so
+    _downlink_coefficients only does arithmetic on these fields, so
     given columns it broadcasts each lane's scalars against that lane's row
     of outer nodes: every element goes through the same operations as in a
     one-point call.
@@ -499,7 +521,7 @@ def _h0_roots(p, r, slopes=False):
 def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[log2(1 + covert snr)] at each node, and its rounding bound.
 
-    Elementwise in 1-D arrays of DownlinkCoefficients fields, for eta1 > eta0.
+    Elementwise in 1-D arrays of _downlink_coefficients, for eta1 > eta0.
     """
     p_hi = p + dp
     # 1 + snr = (1 + p_hi y)(1 + p r y) / (1 + b y + a y^2); the discriminant
@@ -564,11 +586,11 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     """
     # One call is mostly per-call overhead: the coefficients on all nodes
     # cost less than a second call for the probe nodes.
-    c = relaying.downlink_coefficients(params, scheme, eta1, _outer_nodes(params))
+    c = _downlink_coefficients(params, scheme, eta1, _outer_nodes(params))
     if eta1 == params.eta0:
         return RateResult(c_avg=0.0, psi=0.0, quad_error=0.0)
-    start, tail = _covert_start(*(x[_PROBE].tolist() for x in (c.p, c.dp, c.r)))
-    values, rounding = _covert_terms(c.p[start:], c.dp[start:], c.r[start:])
+    start, tail = _covert_start(*(x[_PROBE].tolist() for x in c))
+    values, rounding = _covert_terms(*(x[start:] for x in c))
     fine, err = _outer_rule(_full_rows(values, start), rounding, start, tail)
     result = RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
     if not result.converged:
@@ -610,11 +632,11 @@ def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[tuple, tuple]:
     """
     sub, scheme = _lanes(values), SchemeConfig(variant, fractions[:, None])
     eta1_col = eta1[:, None]
-    probe = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
-    start, tail = _covert_start(probe.p.T, probe.dp.T, probe.r.T)
+    probe = _downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
+    start, tail = _covert_start(*(x.T for x in probe))
     first = start.min()
-    c = relaying.downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
-    node_values, rounding = (x.reshape(c.p.shape) for x in _covert_terms(*(f.ravel() for f in (c.p, c.dp, c.r))))
+    c = _downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
+    node_values, rounding = (x.reshape(c[0].shape) for x in _covert_terms(*(f.ravel() for f in c)))
     rows = zip(_full_rows(node_values, start), rounding, start, tail)
     return tuple(zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows]))
 
@@ -626,10 +648,10 @@ def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     (_h0_slopes). It is kept as the search tests' one-point oracle of the
     objective, and the benchmark times and checks it as its h0 probe.
     """
-    c = relaying.downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
-    start = _h0_start(c.p[_PROBE].tolist(), c.r[_PROBE].tolist())
-    n = c.p.size - start
-    h = _h0_roots(c.p[start:], c.r[start:])
+    p, _, r = _downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
+    start = _h0_start(p[_PROBE].tolist(), r[_PROBE].tolist())
+    n = p.size - start
+    h = _h0_roots(p[start:], r[start:])
     return float(_OUTER_W @ _full_rows(h[:n] - h[n:], start)) / math.log(2.0)
 
 
@@ -664,13 +686,6 @@ def optimal_eta1(params: SystemParams) -> tuple[float, str]:
     return eta_u, BINDING_HARVESTER
 
 
-def max_effective_covert_rate(params: SystemParams, scheme: SchemeConfig) -> OptimizationOutcome:
-    """Effective covert rate at the optimal eta1 (no further search needed)."""
-    eta1_star, binding = optimal_eta1(params)
-    rate = average_covert_rate(params, scheme, eta1_star)
-    return OptimizationOutcome(eta1_star=eta1_star, psi_star=rate.psi, binding=binding)
-
-
 def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dJ/dv and d2J/dv2 per lane at fractions f, for v = logit(f).
 
@@ -680,12 +695,12 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     v. All three row sums start at the lane's first node for the rate.
     """
     scheme = SchemeConfig(variant, f[:, None])
-    probe = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, _outer_nodes(lanes, _PROBE))
-    start = _h0_start(probe.p.T, probe.r.T)
+    probe_p, _, probe_r = _downlink_coefficients(lanes, scheme, lanes.eta0, _outer_nodes(lanes, _PROBE))
+    start = _h0_start(probe_p.T, probe_r.T)
     draw = _outer_nodes(lanes, slice(start.min(), None))
-    c = relaying.downlink_coefficients(lanes, scheme, lanes.eta0, draw)
-    parts = _h0_roots(c.p, c.r, slopes=True)
-    n = len(c.p)
+    p, _, r = _downlink_coefficients(lanes, scheme, lanes.eta0, draw)
+    parts = _h0_roots(p, r, slopes=True)
+    n = len(p)
     (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = ((x[:n], x[n:]) for x in parts)
     if variant == TS:
         # Both roots scale as e^(-v): d ln z / dv = -1.
@@ -698,8 +713,8 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         g = fc * (1.0 - fc)  # df/dv
         a = relaying.link_gains(lanes, draw).a
         noise = relay_noise_power(scheme, lanes.sigma2_ra, lanes.sigma2_rc)
-        k = (a / noise) * (lanes.sigma2_rc / noise) * c.r  # ratios: a squared power can overflow
-        dk = k * (lanes.sigma2_ra + (a + lanes.sigma2_ra) * c.r) / noise
+        k = (a / noise) * (lanes.sigma2_rc / noise) * r  # ratios: a squared power can overflow
+        dk = k * (lanes.sigma2_ra + (a + lanes.sigma2_ra) * r) / noise
         lv1, lvv1 = fc - 1.0, g
         lv2 = lv1 - g * k
         lvv2 = lvv1 - g * (1.0 - 2.0 * fc) * k - g * g * dk

@@ -60,7 +60,8 @@ def amplification_gain2(params: SystemParams, scheme: SchemeConfig, g_ar):
     return 1.0 / (info_share(scheme) * (params.Pa * params.L_ar * g_ar) + s2r)
 
 
-def _check_eta1(params: SystemParams, eta1):
+def check_eta1(params: SystemParams, eta1) -> None:
+    """Reject an eta1 below eta0 or above eta_u (floats, or arrays checked elementwise)."""
     if isinstance(eta1, float) and isinstance(params.eta0, float) and isinstance(params.eta_u, float):
         # One-point calls compare floats: ndarray.any() goes through a
         # Python-level wrapper that costs microseconds per call.
@@ -87,7 +88,7 @@ def allocate_powers(
     the (larger, since eta1 >= eta0) harvested total remains funds the
     covert signal.
     """
-    _check_eta1(params, eta1)
+    check_eta1(params, eta1)
     g = link_gains(params, draw)
     s2b = params.sigma2_b
     coeff = harvest_coeff(scheme)
@@ -136,11 +137,11 @@ def covert_snr_reduced(params: SystemParams, scheme: SchemeConfig, eta1: float, 
     """Covert SNR as a single rational expression in the channel gains.
 
     Algebraically identical to covert_snr; kept as an independent route that
-    validate and the tests check both covert_snr and downlink_coefficients
-    against. q_lo and q_hi are the relay's H0 and H1 transmit powers times
-    the downlink gain.
+    validate checks covert_snr against, and the tests also the downlink
+    coefficients of the rate quadrature (rates). q_lo and q_hi are the
+    relay's H0 and H1 transmit powers times the downlink gain.
     """
-    _check_eta1(params, eta1)
+    check_eta1(params, eta1)
     g = link_gains(params, draw)
     s2b = params.sigma2_b
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
@@ -154,44 +155,3 @@ def covert_snr_reduced(params: SystemParams, scheme: SchemeConfig, eta1: float, 
     num = coeff * (eta1 - params.eta0) * g.a * g.b * s2b
     den = q_lo * (q_hi + s2b) * s2r / (s + s2r) + (q_lo + s2b) * s2b
     return num / den
-
-
-@dataclass(frozen=True)
-class DownlinkCoefficients:
-    """Both destination SNRs as rational functions of a downlink gain scale y.
-
-    For the link gains of a draw with g_rb scaled by y:
-        1 + snr_h0 = (1 + p y) / (1 + p r y)
-        covert snr = dp y / (1 + p (1 + r) y + r p (p + dp) y^2)
-    so y = 1 gives the SNRs of the draw itself.
-
-    p: H0 forward power times L_rb g_rb / sigma2_b [-].
-    dp: covert surplus, (eta1 - eta0) / eta0 * p in factored form [-].
-    r: relay-noise share of the forwarded power, s2r / (s + s2r) [-].
-    """
-
-    p: float | np.ndarray
-    dp: float | np.ndarray
-    r: float | np.ndarray
-
-
-def downlink_coefficients(
-    params: SystemParams, scheme: SchemeConfig, eta1: float, draw: ChannelDraw
-) -> DownlinkCoefficients:
-    """Coefficients of snr_h0 and the covert SNR in the downlink gain scale.
-
-    1 + covert snr factors as (1 + (p + dp) y)(1 + p r y) over the covert
-    denominator, so both log(1 + snr) are sums of logs of polynomials in y
-    with closed-form expectations when g_rb is exponential (see rates).
-
-    The params fields meet only arithmetic and array-wise checks, so rates
-    also passes a params stand-in whose fields are (lanes, 1) columns, with
-    a SchemeConfig whose fraction is such a column, and gets one row per
-    lane.
-    """
-    _check_eta1(params, eta1)
-    g = link_gains(params, draw)
-    s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
-    per_eta = harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
-    s = info_share(scheme) * g.a
-    return DownlinkCoefficients(p=params.eta0 * per_eta, dp=(eta1 - params.eta0) * per_eta, r=s2r / (s + s2r))

@@ -17,7 +17,6 @@ from covertrelay import (
     average_covert_rate,
     detection_error,
     harvested_power_total,
-    max_effective_covert_rate,
     min_detection_error,
     optimal_eta1,
     optimal_threshold,
@@ -172,10 +171,8 @@ def test_criterion_6_efficiency_case_split():
     assert eta1_cap == 0.8
 
     for epsilon in (0.1, 0.2):
-        p = params.with_updates(epsilon=epsilon)
-        out_ts = max_effective_covert_rate(p, SchemeConfig(TS, 0.5))
-        out_ps = max_effective_covert_rate(p, SchemeConfig(PS, 0.5))
-        assert abs(out_ts.eta1_star - out_ps.eta1_star) <= 1e-12
+        row_ts, row_ps = ex.run_sweep(params, "epsilon", [epsilon], fraction=0.5, variants=(TS, PS))
+        assert abs(row_ts["eta1_star"] - row_ps["eta1_star"]) <= 1e-12
     _report(6, f"eps=0.1 -> eta1*={eta1:.6f} (covertness); eps=0.2 -> 0.8 (harvester-cap)",
             time.monotonic() - start)
 

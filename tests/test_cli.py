@@ -189,17 +189,23 @@ def test_validate_passes_and_self_test_fails(capsys):
     assert "[FAIL]" in out
 
 
-def test_validate_fraction_reaches_both_schemes(capsys):
+def test_validate_fraction_reaches_both_schemes(tmp_path, capsys):
     # Compares output only: at small block counts a check can fail by chance.
-    def measured(fraction):
-        main(["validate", "--mc-blocks", "2000", "--seed", "3", "--fraction", fraction])
+    # validate makes no fraction search: 'auto', from the flag or from the
+    # unedited template's `fraction = auto`, means the default 0.5.
+    cfg = tmp_path / "run.cfg"
+    assert main(["config-template", "--out", str(cfg)]) == EXIT_OK
+
+    def measured(*argv):
+        main(["validate", "--mc-blocks", "2000", "--seed", "3", *argv])
         out = capsys.readouterr().out
         return out, {line.split()[1]: line.split("measured=")[1].split()[0] for line in out.splitlines()[:-1]}
 
-    auto, _ = measured("auto")
-    half, at_half = measured("0.5")
-    _, at_other = measured("0.3")
-    assert auto == half
+    auto, _ = measured("--fraction", "auto")
+    template, _ = measured("--config", str(cfg))
+    half, at_half = measured("--fraction", "0.5")
+    _, at_other = measured("--fraction", "0.3")
+    assert auto == template == half
     changed = {name for name in at_half if at_half[name] != at_other[name]}
     assert any(name.endswith("-ts") for name in changed)
     assert any(name.endswith("-ps") for name in changed)

@@ -16,14 +16,16 @@ from covertrelay import (
     SchemeConfig,
     average_covert_rate,
     covert_snr,
+    covert_snr_reduced,
     default_params,
-    max_effective_covert_rate,
     min_detection_error,
     optimal_eta1,
+    optimal_threshold,
     simulate_covert_rate,
+    snr_h0,
 )
-from covertrelay import rates, relaying
-from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid, run_fig4
+from covertrelay import rates
+from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid, run_fig4, run_sweep
 from covertrelay.params import PS, TS, dbm_to_watts, effective_rate_prefactor
 from covertrelay.rates import (
     _ASYMPTOTIC_Z,
@@ -190,10 +192,8 @@ def test_budget_limit_value_and_identity(params):
 
 
 def test_max_effective_rate_monotone_in_epsilon(params, ts):
-    psi = [
-        max_effective_covert_rate(params.with_updates(epsilon=e), ts).psi_star
-        for e in (1e-6, 0.05, 0.1)
-    ]
+    points = [params.with_updates(epsilon=e) for e in (1e-6, 0.05, 0.1)]
+    psi = [average_covert_rate(p, ts, optimal_eta1(p)[0]).psi for p in points]
     assert psi[0] < 1e-5
     assert psi[0] <= psi[1] <= psi[2]
 
@@ -201,17 +201,16 @@ def test_max_effective_rate_monotone_in_epsilon(params, ts):
 def test_max_effective_rate_plateau_beyond_budget(params, ts, ps):
     # Both epsilons exceed the budget limit: the harvester cap binds and the
     # achieved rate is identical.
+    points = [params.with_updates(epsilon=e) for e in (0.2, 0.5)]
+    assert [optimal_eta1(p)[1] for p in points] == [BINDING_HARVESTER] * 2
     for scheme in (ts, ps):
-        hi1 = max_effective_covert_rate(params.with_updates(epsilon=0.2), scheme)
-        hi2 = max_effective_covert_rate(params.with_updates(epsilon=0.5), scheme)
-        assert hi1.binding == hi2.binding == BINDING_HARVESTER
-        assert abs(hi1.psi_star - hi2.psi_star) <= 1e-12 * max(hi1.psi_star, 1e-300)
+        psi1, psi2 = (average_covert_rate(p, scheme, optimal_eta1(p)[0]).psi for p in points)
+        assert abs(psi1 - psi2) <= 1e-12 * max(psi1, 1e-300)
 
 
-def test_eta1_star_scheme_independent(params, ts, ps):
-    out_ts = max_effective_covert_rate(params, ts)
-    out_ps = max_effective_covert_rate(params, ps)
-    assert abs(out_ts.eta1_star - out_ps.eta1_star) <= 1e-12
+def test_eta1_star_scheme_independent(params):
+    row_ts, row_ps = run_sweep(params, "epsilon", [params.epsilon], fraction=0.5, variants=(TS, PS))
+    assert abs(row_ts["eta1_star"] - row_ps["eta1_star"]) <= 1e-12
 
 
 def test_psi_increasing_in_eta1(params, ts, ps):
@@ -225,10 +224,8 @@ def test_psi_increasing_in_eta1(params, ts, ps):
 
 
 def test_psi_star_nondecreasing_in_pa(params, ts):
-    psi = [
-        max_effective_covert_rate(params.with_updates(Pa=pa), ts).psi_star
-        for pa in (0.001, 0.01, 0.1, 1.0)
-    ]
+    points = [params.with_updates(Pa=pa) for pa in (0.001, 0.01, 0.1, 1.0)]
+    psi = [average_covert_rate(p, ts, optimal_eta1(p)[0]).psi for p in points]
     assert all(b >= a for a, b in zip(psi, psi[1:]))
 
 
@@ -250,13 +247,17 @@ def test_optimize_harvest_fraction_local_optimum(params, variant):
     assert optimize_harvest_fractions(lane_values([params]), variant)[0] == best
 
 
+def _power_scaled(p, k):
+    """p with Pa and all five noise variances times k."""
+    return p.with_updates(Pa=p.Pa * k, **{key: getattr(p, key) * k for key in (
+        "sigma2_ra", "sigma2_rc", "sigma2_ba", "sigma2_bc", "sigma2_a")})
+
+
 @pytest.mark.parametrize("shift_db", [-1600.0, -300.0, 300.0, 1700.0])
 def test_fraction_search_does_not_depend_on_the_power_unit(params, shift_db):
     # Pa and all five noise variances scaled by one factor leave every SNR,
     # and so the optimal fractions, unchanged up to rounding.
-    k = 10.0 ** (shift_db / 10.0)
-    scaled = params.with_updates(Pa=params.Pa * k, **{key: getattr(params, key) * k for key in (
-        "sigma2_ra", "sigma2_rc", "sigma2_ba", "sigma2_bc", "sigma2_a")})
+    scaled = _power_scaled(params, 10.0 ** (shift_db / 10.0))
     for variant in ("ts", "ps"):
         want = optimize_harvest_fractions(lane_values([params]), variant)[0]
         assert optimize_harvest_fractions(lane_values([scaled]), variant)[0] == pytest.approx(want, rel=1e-14)
@@ -383,6 +384,50 @@ def test_lane_search_evaluations_on_fig4_grid(params, variant, monkeypatch):
     optimize_harvest_fractions(lane_values(points), variant)
     assert sum(evaluated[0] for evaluated in blocks) == 200
     assert sum(map(sum, blocks)) / 200 <= 7.0
+
+
+# Scale invariances. Every SNR is a ratio of powers, so two maps of a point
+# change no output beyond rounding: (P) Pa and all five noise variances
+# times k = 10^(dB/10), which scales the optimal threshold by k, and (G)
+# lambda_ar times g with d_ar times sqrt(g), which at m = 2 divides L_ar by g.
+def _scaled(p, invariance, s):
+    """p mapped by invariance P (dB = 300 s) or G (g = 10^(6 s)), and the factor tau* scales by."""
+    if invariance == "P":
+        k = 10.0 ** (30.0 * s)
+        return _power_scaled(p, k), k
+    g = 10.0 ** (6.0 * s)
+    return p.with_updates(lambda_ar=p.lambda_ar * g, d_ar=p.d_ar * math.sqrt(g)), 1.0
+
+
+def _invariant_outputs(p, variant, fraction, eta1):
+    """One-point and lane c_avg, the optimal fraction, tau* and the Monte Carlo c_hat at one seed."""
+    scheme = SchemeConfig(variant, fraction)
+    lanes = lane_values([p])
+    return (average_covert_rate(p, scheme, eta1).c_avg,
+            average_covert_rates(lanes, variant, [fraction], [eta1])[0].c_avg,
+            optimize_harvest_fractions(lanes, variant)[0],
+            optimal_threshold(p, scheme, eta1),
+            simulate_covert_rate(p, scheme, eta1, 1000, seed=3).c_hat)
+
+
+@pytest.mark.parametrize("invariance", ["P", "G"])
+@settings(max_examples=80, deadline=None)
+@given(p=domain_params, s=st.floats(-1.0, 1.0), variant=st.sampled_from([TS, PS]),
+       fraction=st.floats(0.05, 0.95), u=st.floats(0.0, 1.0))
+def test_outputs_are_scale_invariant(invariance, p, s, variant, fraction, u):
+    # Over 600 draws per map, c_avg moved by up to 2.7e-14 relative, growing
+    # like eta1 / (eta1 - eta0): the signed h-sum cancels to the size of the
+    # surplus (ROADMAP item 2). Nothing else moved by more than 3.7e-15.
+    eta1 = p.eta0 + 1e-3 + u * (p.eta_u - p.eta0 - 1e-3)
+    scaled, k = _scaled(p, invariance, s)
+    want = _invariant_outputs(p, variant, fraction, eta1)
+    got = _invariant_outputs(scaled, variant, fraction, eta1)
+    c_tol = 4e-15 * eta1 / (eta1 - p.eta0)
+    for name, a, b, tol in zip(("c_avg", "c_avg lane", "fraction", "tau*", "c_hat"),
+                               got, want, (c_tol, c_tol, 1e-14, 1e-14, 1e-14)):
+        if name == "tau*":
+            a /= k
+        assert abs(a - b) <= tol * abs(b), (name, a, b)
 
 
 def _h_mpmath(z) -> complex:
@@ -567,10 +612,39 @@ def test_batched_covert_rate_branches(params, variant):
         ]
     # Lane 0 takes both root branches: complex denominator roots at weak
     # uplink nodes, real ones at strong nodes.
-    c = relaying.downlink_coefficients(
+    p, dp, r = rates._downlink_coefficients(
         params, SchemeConfig(variant, 0.5), 0.7, ChannelDraw(params.lambda_ar * _OUTER_EXP_T, params.lambda_rb))
-    disc = (c.p * (1.0 - c.r)) ** 2 - 4.0 * c.r * c.p * c.dp
+    disc = (p * (1.0 - r)) ** 2 - 4.0 * r * p * dp
     assert (disc < 0).any() and (disc >= 0).any()
+
+
+@pytest.mark.parametrize("variant", ["ts", "ps"])
+def test_downlink_coefficients_reproduce_the_snrs(params, variant):
+    # The closed-form rate integrates these rational forms in g_rb; they
+    # must match the reduced covert SNR and snr_h0 at arbitrary gains.
+    rng = np.random.default_rng(7 if variant == "ts" else 8)
+    for _ in range(10):
+        p = random_params(rng, params)
+        scheme = SchemeConfig(variant, rng.uniform(0.05, 0.95))
+        draw = ChannelDraw(
+            g_ar=p.lambda_ar * np.exp(rng.uniform(-20.0, 3.0, 500)),
+            g_rb=p.lambda_rb * np.exp(rng.uniform(-20.0, 3.0, 500)),
+        )
+        eta1 = rng.uniform(p.eta0, p.eta_u)
+        # Coefficients of a unit-g_rb draw, evaluated at y = g_rb, and of
+        # the draw itself at y = 1, must both give the SNRs of the draw.
+        cp, cdp, cr = rates._downlink_coefficients(p, scheme, eta1, ChannelDraw(g_ar=draw.g_ar, g_rb=1.0))
+        x = draw.g_rb
+        covert = cdp * x / (1.0 + cp * (1.0 + cr) * x + cr * cp * (cp + cdp) * x ** 2)
+        op, odp, o_r = rates._downlink_coefficients(p, scheme, eta1, draw)
+        covert_own = odp / (1.0 + op * (1.0 + o_r) + o_r * op * (op + odp))
+        reduced = covert_snr_reduced(p, scheme, eta1, draw)
+        assert np.max(np.abs(covert - reduced) / reduced) <= 1e-13
+        assert np.max(np.abs(covert_own - reduced) / reduced) <= 1e-13
+        # snr_h0 itself carries 1 - r, which cancels for s << s2r; the rate
+        # integrates log(1 + snr_h0) = log((1 + p x) / (1 + p r x)).
+        ratio = (1.0 + cp * x) / (1.0 + cp * cr * x)
+        assert np.max(np.abs(ratio / (1.0 + snr_h0(p, scheme, draw)) - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -609,13 +683,13 @@ def _rule_scan_params():
 
 def _full_rule_coefficients(p, scheme, eta1):
     """The covert and the h0 (eta0) downlink coefficients on all outer nodes."""
-    return [relaying.downlink_coefficients(p, scheme, e, rates._outer_nodes(p)) for e in (eta1, p.eta0)]
+    return [rates._downlink_coefficients(p, scheme, e, rates._outer_nodes(p)) for e in (eta1, p.eta0)]
 
 
 def _starts(p, scheme, eta1):
     """(covert start, its tail bound), and the h0 start."""
-    c, c0 = _full_rule_coefficients(p, scheme, eta1)
-    c, c0 = ([x[rates._PROBE].tolist() for x in coef] for coef in ((c.p, c.dp, c.r), (c0.p, c0.r)))
+    c, (p0, _, r0) = _full_rule_coefficients(p, scheme, eta1)
+    c, c0 = ([x[rates._PROBE].tolist() for x in coef] for coef in (c, (p0, r0)))
     return rates._covert_start(*c), rates._h0_start(*c0)
 
 
@@ -630,11 +704,11 @@ def test_outer_rule_start_is_sound(variant):
         scheme = SchemeConfig(variant, fraction)
         for surplus in (1e-1, 1e-6):
             eta1 = p.eta0 + surplus
-            c, c0 = _full_rule_coefficients(p, scheme, eta1)
+            c, (p0, _, r0) = _full_rule_coefficients(p, scheme, eta1)
             (start, tail), h0_start = _starts(p, scheme, eta1)
-            h_values = np.subtract(*np.split(rates._h0_roots(c0.p, c0.r), 2))
+            h_values = np.subtract(*np.split(rates._h0_roots(p0, r0), 2))
             assert abs(_OUTER_W[:h0_start] @ h_values[:h0_start]) <= 1e-17 * (_OUTER_W @ h_values)
-            values, rounding = rates._covert_terms(c.p, c.dp, c.r)
+            values, rounding = rates._covert_terms(*c)
             full, _ = rates._outer_rule(values, rounding, 0, 0.0)
             dropped_rounding = _OUTER_W[:start] @ rounding[:start] / math.log(2.0)
             assert abs(_OUTER_W[:start] @ values[:start]) <= tail + dropped_rounding
