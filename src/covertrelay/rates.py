@@ -34,22 +34,21 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
   distinct (SystemParams rate fields, fraction, eta1) point; equal points
   share a lane, evaluated once. Both take the points' lane_values, which
   a recipe builds once for all its calls. Each lane's scalars are a
-  (lanes, 1) column broadcast against its row of outer nodes, and each row
-  is reduced by the same 1-D dot as a one-point call (a 2-D matrix-vector
-  product rounds differently in the last bit), so every lane equals the
-  one-point result bit for bit, whatever the other lanes' starts. The
-  distinct lanes are evaluated in blocks of _LANE_BLOCK (80) lanes, each
-  with its own probe, starts and search, so a call's memory stays bounded
-  however many lanes it has; no result depends on the block. The
-  one-point functions share the kernels but not the lane set-up, which
-  would make each call about a quarter slower (sweep makes one such call
-  per row).
-  The fraction search reduces its rows by row sums, also per lane, all
-  three from the lane's start for the rate.
+  (lanes, 1) column broadcast against its row of outer nodes, in blocks of
+  _LANE_BLOCK (80) lanes, each with its own probe, starts and search, so a
+  call's memory stays bounded however many lanes it has. Every lane equals
+  the one-point result bit for bit, whatever its block and the other
+  lanes' starts: a covert row is reduced by the same 1-D dot as a
+  one-point call (_row_dots; a 2-D matrix-vector product rounds
+  differently in the last bit), and the search sums each row over all
+  nodes, zero before the lane's start for the rate. The one-point
+  functions share the kernels but not the lane set-up, which makes a
+  one-lane call about twice as slow (sweep makes one call per row).
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
   v = logit(fraction), advancing all lanes in lock step: each iteration
   makes one h evaluation for the unconverged lanes and takes dJ/dv and
   d2J/dv2 from the ln z derivatives of h, which the kernel returns with it.
+  What does not depend on the fraction is formed once per block.
 """
 
 from __future__ import annotations
@@ -105,12 +104,12 @@ _TAIL_REL = 1e-17
 _OUTER_TAIL = np.concatenate([[0.0], np.cumsum(_OUTER_W * _OUTER_EXP_T)[:-1]])
 # The lower bound adds up bounds at these nodes, around the peak of the
 # weights (t = 0 is node 181.8), each weighted by P(1/2 <= y <= 2) (covert)
-# or P(y >= 1/2) (h0), y ~ Exp(1); the last one gives s. The weights are
-# Python floats, so a one-point call bounds its sum in float arithmetic,
+# or P(y >= 1/2) (h0), y ~ Exp(1); the last one gives s. The covert weights
+# are Python floats, so a one-point call bounds its sum in float arithmetic,
 # with the same operations as the lane columns.
 _PROBE = slice(178, 195, 4)
 _PROBE_W_COVERT = (_OUTER_W[_PROBE] * (math.exp(-0.5) - math.exp(-2.0)) / math.log(2.0)).tolist()
-_PROBE_W_H0 = (_OUTER_W[_PROBE] * math.exp(-0.5)).tolist()
+_PROBE_W_H0 = _OUTER_W[_PROBE] * math.exp(-0.5)
 _PROBE_LAST_EXP_T = float(_OUTER_EXP_T[_PROBE][-1])
 
 # h(z) = e^z E1(z), the kernel of the inner expectation, by branches in |z|:
@@ -422,10 +421,14 @@ def _downlink_coefficients(params, scheme: SchemeConfig, eta1, draw: ChannelDraw
     """
     relaying.check_eta1(params, eta1)
     g = relaying.link_gains(params, draw)
-    s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
     per_eta = harvest_coeff(scheme) * g.a * g.b / params.sigma2_b
-    s = info_share(scheme) * g.a
-    return params.eta0 * per_eta, (eta1 - params.eta0) * per_eta, s2r / (s + s2r)
+    return params.eta0 * per_eta, (eta1 - params.eta0) * per_eta, _relay_noise_share(params, scheme, g.a)
+
+
+def _relay_noise_share(params, scheme, a):
+    """r of _downlink_coefficients, for the source power a received at the relay."""
+    s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
+    return s2r / (info_share(scheme) * a + s2r)
 
 
 def _first_nodes(slope, low):
@@ -456,17 +459,17 @@ def _covert_start(p, dp, r):
 
 
 def _h0_start(p, r):
-    """First kept outer node of an h0 lane, from p and r at the _PROBE nodes as in _covert_start.
+    """First kept outer node of an h0 lane, from p and r at the _PROBE nodes (last axis) as in _covert_start.
 
     A node's value ln(1 + snr_h0) is at most p, as snr_h0 <= p y, and p is
     proportional to e^t. snr_h0 rises with y, so a node's value is at least
     P(y >= 1/2) ln(1 + x) >= P(y >= 1/2) x / (1 + x), with x = snr_h0(1/2).
     """
+    x = 0.5 * p * (1.0 - r) / (1.0 + 0.5 * p * r)
     low = 0.0
-    for w, p_j, r_j in zip(_PROBE_W_H0, p, r):
-        x = 0.5 * p_j * (1.0 - r_j) / (1.0 + 0.5 * p_j * r_j)
-        low = low + w * x / (1.0 + x)
-    return _first_nodes(p[-1] / _PROBE_LAST_EXP_T, low)
+    for bound in (_PROBE_W_H0 * x / (1.0 + x)).T:
+        low = low + bound
+    return _first_nodes(p[..., -1] / _PROBE_LAST_EXP_T, low)
 
 
 def _full_rows(rows, start):
@@ -625,10 +628,11 @@ def average_covert_rates(lanes, variant: str, fractions, eta1s) -> list[RateResu
     return results
 
 
-def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[tuple, tuple]:
+def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[np.ndarray, np.ndarray]:
     """c_avg and quad_error of one block of lanes with eta1 > eta0, as one-point calls compute them.
 
     values holds a lane's _LANE_FIELDS per row; fractions and eta1 one entry per lane.
+    _row_dots reduces each row as _outer_rule does a one-point call's.
     """
     sub, scheme = _lanes(values), SchemeConfig(variant, fractions[:, None])
     eta1_col = eta1[:, None]
@@ -637,8 +641,21 @@ def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[tuple, tuple]:
     first = start.min()
     c = _downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
     node_values, rounding = (x.reshape(c[0].shape) for x in _covert_terms(*(f.ravel() for f in c)))
-    rows = zip(_full_rows(node_values, start), rounding, start, tail)
-    return tuple(zip(*[_outer_rule(v, r[s - first:], s, t) for v, r, s, t in rows]))
+    values = _full_rows(node_values, start)
+    fine = _row_dots(values, _OUTER_W)
+    coarse = _row_dots(values[:, ::2], _OUTER_W_HALF)
+    # Rounding rows from their own start: zero-padded rows round differently.
+    bound = np.empty(len(start))
+    for s in set(start.tolist()):
+        bound[start == s] = _row_dots(rounding[start == s, s - first:], _OUTER_W[s:])
+    err = np.abs(fine - coarse) + bound / math.log(2.0) + tail
+    np.divide(err, np.abs(fine), out=err, where=fine != 0.0)
+    return fine, err
+
+
+def _row_dots(rows, w) -> np.ndarray:
+    """w @ row for each row, bit for bit: one vector dot per 1 x n matrix (rows @ w and einsum round apart)."""
+    return np.matmul(rows[:, None, :], w)[:, 0]
 
 
 def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
@@ -649,7 +666,7 @@ def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     objective, and the benchmark times and checks it as its h0 probe.
     """
     p, _, r = _downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
-    start = _h0_start(p[_PROBE].tolist(), r[_PROBE].tolist())
+    start = _h0_start(p[_PROBE], r[_PROBE])
     n = p.size - start
     h = _h0_roots(p[start:], r[start:])
     return float(_OUTER_W @ _full_rows(h[:n] - h[n:], start)) / math.log(2.0)
@@ -687,18 +704,18 @@ def optimal_eta1(params: SystemParams) -> tuple[float, str]:
 
 
 def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dJ/dv and d2J/dv2 per lane at fractions f, for v = logit(f).
+    """dJ/dv and d2J/dv2 per lane at fractions f, for v = logit(f), from a block's search rows (_newton_search).
 
     J is the no-covert effective rate up to a constant factor. Both roots z
     of the h0 terms enter through h(z), so their v-derivatives follow from
     the ln z derivatives of h (_h0_roots with slopes) and those of ln z in
     v. All three row sums start at the lane's first node for the rate.
     """
-    scheme = SchemeConfig(variant, f[:, None])
-    probe_p, _, probe_r = _downlink_coefficients(lanes, scheme, lanes.eta0, _outer_nodes(lanes, _PROBE))
-    start = _h0_start(probe_p.T, probe_r.T)
-    draw = _outer_nodes(lanes, slice(start.min(), None))
-    p, _, r = _downlink_coefficients(lanes, scheme, lanes.eta0, draw)
+    scheme = SimpleNamespace(variant=variant, fraction=f[:, None])  # the search checked its fractions
+    probe_p, probe_r = _h0_coefficients(lanes, scheme, _PROBE)
+    start = _h0_start(probe_p, probe_r)
+    first = start.min()
+    p, r = _h0_coefficients(lanes, scheme, slice(first, None))
     parts = _h0_roots(p, r, slopes=True)
     n = len(p)
     (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = ((x[:n], x[n:]) for x in parts)
@@ -711,7 +728,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # N the relay noise: k = d ln r / df and dk/df in closed form.
         fc = scheme.fraction
         g = fc * (1.0 - fc)  # df/dv
-        a = relaying.link_gains(lanes, draw).a
+        a = lanes.a[:, first:]
         noise = relay_noise_power(scheme, lanes.sigma2_ra, lanes.sigma2_rc)
         k = (a / noise) * (lanes.sigma2_rc / noise) * r  # ratios: a squared power can overflow
         dk = k * (lanes.sigma2_ra + (a + lanes.sigma2_ra) * r) / noise
@@ -719,14 +736,30 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         lv2 = lv1 - g * k
         lvv2 = lvv1 - g * (1.0 - 2.0 * fc) * k - g * g * dk
         terms = (zh1_1 * lv1 - zh1_2 * lv2, dzh1_1 * lv1**2 + zh1_1 * lvv1 - dzh1_2 * lv2**2 - zh1_2 * lvv2)
-    # Row sums, so a lane's value does not depend on the other lanes.
-    sums = [(_full_rows(t, start) * _OUTER_W).sum(axis=1) for t in terms]
+    # Row sums, so a lane's value does not depend on the other lanes, of the
+    # elements of _full_rows(t, start) * _OUTER_W, written into one array:
+    # every lane keeps the nodes from the last start on, the others by mask.
+    last = start.max()
+    keep = _OUTER_INDEX[first:last] >= start[:, None]
+    rows = np.zeros((n, _OUTER_T.size))
+    sums = []
+    for t in terms:
+        np.multiply(t[:, last - first:], _OUTER_W[last:], out=rows[:, last:])
+        np.multiply(t[:, :last - first], _OUTER_W[first:last], out=rows[:, first:last], where=keep)
+        sums.append(rows.sum(axis=1))
     if variant == TS:
         # J = (1 - f) / 2 * rate; the factor 1/2 is dropped.
         rate, d1, d2 = sums
         g = f * (1.0 - f)
         return (1.0 - f) * d1 - g * rate, (1.0 - f) * d2 - 2.0 * g * d1 - (1.0 - 2.0 * f) * g * rate
     return tuple(sums)
+
+
+def _h0_coefficients(lanes, scheme, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """p and r of _downlink_coefficients at eta1 = eta0 on some nodes, in its order, from a block's search rows."""
+    a = lanes.a[:, nodes]
+    p = lanes.eta0 * (harvest_coeff(scheme) * a * lanes.b / lanes.sigma2_b)
+    return p, lanes.r[:, nodes] if scheme.variant == TS else _relay_noise_share(lanes, scheme, a)
 
 
 def optimize_harvest_fractions(lanes, variant: str) -> np.ndarray:
@@ -767,16 +800,22 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
     is clipped to the bounds and taken if it lands in the bracket; any
     other step bisects the bracket within the bounds. A lane stops after a
     Newton step below _LOGIT_TOL, on a bound where dJ/dv still points
-    outward, or when its bracket collapses.
+    outward, or when its bracket collapses. The variant and the start are
+    checked once; each iteration forms only what depends on the fraction.
     """
     f_lo, f_hi = _FRACTION_BOUNDS
     v_lo, v_hi = math.log(f_lo / (1.0 - f_lo)), math.log(f_hi / (1.0 - f_hi))
     out = np.empty(n)
     idx = np.arange(n)
-    v = np.full(n, _SEARCH_START.get(variant, 0.0))  # _h0_slopes' SchemeConfig rejects other variants
+    v = np.full(n, _SEARCH_START.get(variant, 0.0))
     f = 1.0 / (1.0 + np.exp(-v))
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    sub = lanes
+    scheme = SchemeConfig(variant, f[:, None])  # rejects other variants
+    # Search rows: the lanes, fraction-free factors on all nodes (r for TS only).
+    g = relaying.link_gains(lanes, _outer_nodes(lanes))
+    sub = rows = SimpleNamespace(**vars(lanes), a=g.a, b=g.b)
+    if variant == TS:
+        rows.r = _relay_noise_share(lanes, scheme, g.a)
     for _ in range(_SEARCH_MAXITER):
         d1, d2 = _h0_slopes(sub, variant, f)
         rising = d1 > 0.0
@@ -794,7 +833,7 @@ def _newton_search(lanes, variant: str, n: int) -> np.ndarray:
             if not keep.any():
                 return out
             idx, v_next, f_next, lo, hi = idx[keep], v_next[keep], f_next[keep], lo[keep], hi[keep]
-            sub = SimpleNamespace(**{name: col[idx] for name, col in vars(lanes).items()})
+            sub = SimpleNamespace(**{name: col[idx] for name, col in vars(rows).items()})
         v, f = v_next, f_next
     out[idx] = f
     return out

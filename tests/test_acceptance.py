@@ -5,6 +5,7 @@ output); a failing criterion fails its test. Runtime caps are asserted
 with wall-clock timing.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -170,9 +171,15 @@ def test_criterion_6_efficiency_case_split():
     assert binding_cap == BINDING_HARVESTER
     assert eta1_cap == 0.8
 
-    for epsilon in (0.1, 0.2):
-        row_ts, row_ps = ex.run_sweep(params, "epsilon", [epsilon], fraction=0.5, variants=(TS, PS))
-        assert abs(row_ts["eta1_star"] - row_ps["eta1_star"]) <= 1e-12
+    # Claim (i): at each scheme's own optimal threshold the detection error
+    # is xi*(eta0 / eta1*), which names no scheme.
+    for epsilon, eta1_star in ((0.1, eta1), (0.2, eta1_cap)):
+        point = params.with_updates(epsilon=epsilon)
+        xi_star = min_detection_error(point.eta0 / eta1_star)
+        for variant, fraction in itertools.product((TS, PS), (0.05, 0.5, 0.99)):
+            scheme = SchemeConfig(variant, fraction)
+            xi = detection_error(point, scheme, eta1_star, optimal_threshold(point, scheme, eta1_star)).xi
+            assert abs(xi - xi_star) <= 1e-12 * xi_star
     _report(6, f"eps=0.1 -> eta1*={eta1:.6f} (covertness); eps=0.2 -> 0.8 (harvester-cap)",
             time.monotonic() - start)
 
