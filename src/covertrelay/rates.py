@@ -16,34 +16,28 @@ rates evaluate one ChannelDraw: the outer nodes as g_ar, lambda_rb as g_rb.
   |z| >= 500, within 4e-16 of mpmath for real z.
 * Outer. Substituting g_ar = lambda_ar * e^t turns the exponential average
   into an integral over the real line that decays double-exponentially
-  for t -> +inf and like e^(2t) for t -> -inf; the trapezoid rule on
-  201 nodes of t in [-45, 4.5] (Takahasi-Mori) converges geometrically,
-  and the every-other-node sum gives the error estimate at no extra cost.
-  Each lane starts its rule at its own node K (95-99 in the benchmark
-  domain, lower as the SNR grows). A node's value is at most s e^t for a
-  lane constant s (dp / ln 2 for the covert rate, p for the h0 rate), so
-  nodes 0..K-1 add at most s * sum_{k<K} w_k e^(t_k); K is the last node
-  where that is within 1e-17 of a lower bound on the lane's sum
-  (_covert_start, _h0_start). The covert rate adds the bound to
-  quad_error. The downlink coefficients and h are evaluated from the
-  call's smallest K on, and each lane's nodes before its own K enter the
-  sums as exact zeros, so the reductions keep the shape and order of the
-  full rule.
+  for t -> +inf and like e^(2t) for t -> -inf. A second substitution
+  t = sinh(s) (exp-sinh; Takahasi & Mori 1974, Bailey, Jeyabalan & Li
+  2005) packs the slow left tail into a short range of s: the trapezoid
+  rule on 97 nodes of s from asinh(-45) to asinh(4.5) converges
+  geometrically, and the every-other-node sum gives the error estimate at
+  no extra cost. Every rate evaluates all 97 nodes. Nothing is added for
+  t < -45: a node's value is at most k e^t for a lane constant k (dp / ln 2
+  for the covert rate, p for the h0 rate), so that mass is at most
+  k e^(-90) / 2: 1.1e-22 of c_avg at the defaults with Pa = 200 dBm, but
+  no useful bound above about 350 dBm.
 * Lanes. A figure grid is evaluated in batched calls
   (optimize_harvest_fractions, average_covert_rates), one lane per
   distinct (SystemParams rate fields, fraction, eta1) point; equal points
   share a lane, evaluated once. Both take the points' lane_values, which
   a recipe builds once for all its calls. Each lane's scalars are a
-  (lanes, 1) column broadcast against its row of outer nodes, in blocks of
-  _LANE_BLOCK (80) lanes, each with its own probe, starts and search, so a
-  call's memory stays bounded however many lanes it has. Every lane equals
-  the one-point result bit for bit, whatever its block and the other
-  lanes' starts: a covert row is reduced by the same 1-D dot as a
-  one-point call (_row_dots; a 2-D matrix-vector product rounds
-  differently in the last bit), and the search sums each row over all
-  nodes, zero before the lane's start for the rate. The one-point
-  functions share the kernels but not the lane set-up, which makes a
-  one-lane call about twice as slow (sweep makes one call per row).
+  (lanes, 1) column broadcast against its row of all outer nodes, in blocks
+  of _LANE_BLOCK (80) lanes, each with its own search, so a call's memory
+  stays bounded however many lanes it has. Every lane equals the one-point
+  result bit for bit, whatever its block and the other lanes: each row is
+  reduced by the same 1-D dot as a one-point call (_row_dots; a 2-D
+  matrix-vector product rounds differently in the last bit). The
+  one-point functions share the kernels but not the lane set-up.
 * Fraction search. A safeguarded Newton iteration on dJ/dv = 0 in
   v = logit(fraction), advancing all lanes in lock step: each iteration
   makes one h evaluation for the unconverged lanes and takes dJ/dv and
@@ -81,36 +75,21 @@ _SEARCH_MAXITER = 64  # bisection alone would need about 17 steps
 _SEARCH_START = {TS: 1.5, PS: 4.5}
 
 # The batched functions evaluate their distinct lanes in blocks of this many,
-# so a block's node arrays (lanes x 201 outer nodes) hold about 2^14
-# elements, cache-sized like montecarlo._BLOCK, and a call's memory does not
-# grow with its lane count.
+# so a block's node arrays (lanes x 97 outer nodes) hold about 2^13
+# elements, and a call's memory does not grow with its lane count.
 _LANE_BLOCK = 80
 
-# Outer trapezoid nodes t (g_ar = lambda_ar * e^t) and their weights for the
-# Exp(1) density, e^(t - e^t) dt; the end weights are halved.
-_OUTER_T, _OUTER_STEP = np.linspace(-45.0, 4.5, 201, retstep=True)
+# Outer exp-sinh nodes t = sinh(s) (g_ar = lambda_ar * e^t) on equally
+# spaced s, and their weights for the Exp(1) density, e^(t - e^t) cosh(s) ds;
+# the end weights are halved. The node count is odd, so the every-other-node
+# rule (step doubled, for the error estimate) shares both ends.
+_OUTER_S, _OUTER_STEP = np.linspace(math.asinh(-45.0), math.asinh(4.5), 97, retstep=True)
+_OUTER_T = np.sinh(_OUTER_S)
 _OUTER_EXP_T = np.exp(_OUTER_T)
-_OUTER_W = _OUTER_STEP * np.exp(_OUTER_T - _OUTER_EXP_T)
+_OUTER_W = _OUTER_STEP * np.cosh(_OUTER_S) * np.exp(_OUTER_T - _OUTER_EXP_T)
 _OUTER_W[[0, -1]] *= 0.5
-# The same rule on every other node (step doubled), for the error estimate.
 _OUTER_W_HALF = 2.0 * _OUTER_W[::2]
 _OUTER_W_HALF[[0, -1]] = _OUTER_W[[0, -1]]
-_OUTER_INDEX = np.arange(_OUTER_T.size)
-_TINY = float(np.finfo(float).tiny)
-# A lane's rule starts at the last node K whose dropped nodes add at most
-# _TAIL_REL of a lower bound on the lane's sum. Node values are bounded by
-# s e^t, with s fixed per lane, so nodes 0..K-1 add at most s _OUTER_TAIL[K].
-_TAIL_REL = 1e-17
-_OUTER_TAIL = np.concatenate([[0.0], np.cumsum(_OUTER_W * _OUTER_EXP_T)[:-1]])
-# The lower bound adds up bounds at these nodes, around the peak of the
-# weights (t = 0 is node 181.8), each weighted by P(1/2 <= y <= 2) (covert)
-# or P(y >= 1/2) (h0), y ~ Exp(1); the last one gives s. The covert weights
-# are Python floats, so a one-point call bounds its sum in float arithmetic,
-# with the same operations as the lane columns.
-_PROBE = slice(178, 195, 4)
-_PROBE_W_COVERT = (_OUTER_W[_PROBE] * (math.exp(-0.5) - math.exp(-2.0)) / math.log(2.0)).tolist()
-_PROBE_W_H0 = _OUTER_W[_PROBE] * math.exp(-0.5)
-_PROBE_LAST_EXP_T = float(_OUTER_EXP_T[_PROBE][-1])
 
 # h(z) = e^z E1(z), the kernel of the inner expectation, by branches in |z|:
 # the power series near 0; for real z from _BAND_Z to _ASYMPTOTIC_Z, one
@@ -278,9 +257,7 @@ class RateResult:
 
     c_avg and psi are in bits per channel use; quad_error is the relative
     difference between the full and the every-other-node outer rule, plus a
-    bound on the rounding error of the closed-form inner expectation, plus
-    a bound on what the outer nodes before the lane's first kept node add
-    (at most 1e-17 of c_avg).
+    bound on the rounding error of the closed-form inner expectation.
     """
 
     c_avg: float
@@ -387,8 +364,8 @@ def _h_polynomial(z, branch, table):
     return acc / z
 
 
-def _outer_nodes(params, nodes=slice(None)) -> ChannelDraw:
-    return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T[nodes], g_rb=params.lambda_rb)
+def _outer_nodes(params) -> ChannelDraw:
+    return ChannelDraw(g_ar=params.lambda_ar * _OUTER_EXP_T, g_rb=params.lambda_rb)
 
 
 # Fields a rate lane carries: those _downlink_coefficients and _outer_nodes
@@ -429,63 +406,6 @@ def _relay_noise_share(params, scheme, a):
     """r of _downlink_coefficients, for the source power a received at the relay."""
     s2r = relay_noise_power(scheme, params.sigma2_ra, params.sigma2_rc)
     return s2r / (info_share(scheme) * a + s2r)
-
-
-def _first_nodes(slope, low):
-    """First kept outer node: node values are at most slope * e^t, the sum at least low.
-
-    _TINY keeps the quotient finite where slope underflows to zero.
-    """
-    return _OUTER_TAIL.searchsorted(_TAIL_REL * low / (slope + _TINY), side="right") - 1
-
-
-def _covert_start(p, dp, r):
-    """First kept outer node of a covert lane, and the bound on the nodes before it [bits].
-
-    p, dp and r hold the lane's downlink coefficients at the _PROBE nodes,
-    one entry per node: floats, or one column of lanes each. A node's value
-    is at most dp / ln 2, as log(1 + x) <= x and snr <= dp y, and dp is
-    proportional to e^t. For 1/2 <= y <= 2 the covert snr is at least
-    x = (dp / 2) / (1 + 2 b + 4 a), with b and a the coefficients of its
-    denominator, and log(1 + x) >= x / (1 + x).
-    """
-    low = 0.0
-    for w, p_j, dp_j, r_j in zip(_PROBE_W_COVERT, p, dp, r):
-        x = 0.5 * dp_j / (1.0 + 2.0 * p_j * (1.0 + r_j) + 4.0 * r_j * p_j * (p_j + dp_j))
-        low = low + w * x / (1.0 + x)
-    slope = dp[-1] / (_PROBE_LAST_EXP_T * math.log(2.0))
-    start = _first_nodes(slope, low)
-    return start, slope * _OUTER_TAIL[start]
-
-
-def _h0_start(p, r):
-    """First kept outer node of an h0 lane, from p and r at the _PROBE nodes (last axis) as in _covert_start.
-
-    A node's value ln(1 + snr_h0) is at most p, as snr_h0 <= p y, and p is
-    proportional to e^t. snr_h0 rises with y, so a node's value is at least
-    P(y >= 1/2) ln(1 + x) >= P(y >= 1/2) x / (1 + x), with x = snr_h0(1/2).
-    """
-    x = 0.5 * p * (1.0 - r) / (1.0 + 0.5 * p * r)
-    low = 0.0
-    for bound in (_PROBE_W_H0 * x / (1.0 + x)).T:
-        low = low + bound
-    return _first_nodes(p[..., -1] / _PROBE_LAST_EXP_T, low)
-
-
-def _full_rows(rows, start):
-    """Rows of node values from node start.min() on, over all outer nodes.
-
-    Each row holds exact zeros before its own start, so the reductions keep
-    the shape and order of the full rule and a row does not depend on the
-    other rows' starts.
-    """
-    if rows.ndim == 1:
-        return np.concatenate((np.zeros(start), rows))
-    first = start.min()
-    out = np.zeros((len(rows), _OUTER_T.size))
-    out[:, first:] = rows
-    out[_OUTER_INDEX < start[:, None]] = 0.0
-    return out
 
 
 def lane_values(points) -> list[tuple]:
@@ -554,17 +474,16 @@ def _covert_terms(p: np.ndarray, dp: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     return (h_p_hi + h_pr - h_den) / math.log(2.0), rounding
 
 
-def _outer_rule(values: np.ndarray, rounding: np.ndarray, start, tail: float) -> tuple[float, float]:
-    """Outer trapezoid sum of one lane's node values and its relative error.
+def _outer_rule(values: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outer sum of each row of node values and its relative error, from the rows' rounding bounds.
 
-    values spans all outer nodes, with exact zeros before start; rounding
-    spans the nodes from start on. tail bounds what the dropped nodes add.
+    Each row is reduced by its own 1-D dot (_row_dots), so a row's result does
+    not depend on the other rows, and a one-point call (one row) equals its
+    lane bit for bit.
     """
-    fine = float(_OUTER_W @ values)
-    coarse = float(_OUTER_W_HALF @ values[::2])
-    err = abs(fine - coarse) + float(_OUTER_W[start:] @ rounding) / math.log(2.0) + float(tail)
-    if fine:
-        err /= abs(fine)
+    fine = _row_dots(values, _OUTER_W)
+    err = np.abs(fine - _row_dots(values[:, ::2], _OUTER_W_HALF)) + _row_dots(rounding, _OUTER_W) / math.log(2.0)
+    np.divide(err, np.abs(fine), out=err, where=fine != 0.0)
     return fine, err
 
 
@@ -587,14 +506,10 @@ def average_covert_rate(params: SystemParams, scheme: SchemeConfig, eta1: float)
     That happens as eta1 -> eta0, where the signed sum of h terms cancels
     to the size of the surplus; eta1 == eta0 itself gives exactly zero.
     """
-    # One call is mostly per-call overhead: the coefficients on all nodes
-    # cost less than a second call for the probe nodes.
     c = _downlink_coefficients(params, scheme, eta1, _outer_nodes(params))
     if eta1 == params.eta0:
         return RateResult(c_avg=0.0, psi=0.0, quad_error=0.0)
-    start, tail = _covert_start(*(x[_PROBE].tolist() for x in c))
-    values, rounding = _covert_terms(*(x[start:] for x in c))
-    fine, err = _outer_rule(_full_rows(values, start), rounding, start, tail)
+    fine, err = (float(x[0]) for x in _outer_rule(*(x[None] for x in _covert_terms(*c))))
     result = RateResult(c_avg=fine, psi=effective_rate_prefactor(scheme) * fine, quad_error=err)
     if not result.converged:
         _warn_flagged()
@@ -631,26 +546,13 @@ def average_covert_rates(lanes, variant: str, fractions, eta1s) -> list[RateResu
 def _covert_lanes(values, variant: str, fractions, eta1) -> tuple[np.ndarray, np.ndarray]:
     """c_avg and quad_error of one block of lanes with eta1 > eta0, as one-point calls compute them.
 
-    values holds a lane's _LANE_FIELDS per row; fractions and eta1 one entry per lane.
-    _row_dots reduces each row as _outer_rule does a one-point call's.
+    values holds a lane's _LANE_FIELDS per row; fractions and eta1 one entry
+    per lane. Each lane's row spans all outer nodes, and _outer_rule reduces
+    it as it does a one-point call's.
     """
     sub, scheme = _lanes(values), SchemeConfig(variant, fractions[:, None])
-    eta1_col = eta1[:, None]
-    probe = _downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, _PROBE))
-    start, tail = _covert_start(*(x.T for x in probe))
-    first = start.min()
-    c = _downlink_coefficients(sub, scheme, eta1_col, _outer_nodes(sub, slice(first, None)))
-    node_values, rounding = (x.reshape(c[0].shape) for x in _covert_terms(*(f.ravel() for f in c)))
-    values = _full_rows(node_values, start)
-    fine = _row_dots(values, _OUTER_W)
-    coarse = _row_dots(values[:, ::2], _OUTER_W_HALF)
-    # Rounding rows from their own start: zero-padded rows round differently.
-    bound = np.empty(len(start))
-    for s in set(start.tolist()):
-        bound[start == s] = _row_dots(rounding[start == s, s - first:], _OUTER_W[s:])
-    err = np.abs(fine - coarse) + bound / math.log(2.0) + tail
-    np.divide(err, np.abs(fine), out=err, where=fine != 0.0)
-    return fine, err
+    c = _downlink_coefficients(sub, scheme, eta1[:, None], _outer_nodes(sub))
+    return _outer_rule(*(x.reshape(c[0].shape) for x in _covert_terms(*(f.ravel() for f in c))))
 
 
 def _row_dots(rows, w) -> np.ndarray:
@@ -666,10 +568,8 @@ def expected_rate_h0(params: SystemParams, scheme: SchemeConfig) -> float:
     objective, and the benchmark times and checks it as its h0 probe.
     """
     p, _, r = _downlink_coefficients(params, scheme, params.eta0, _outer_nodes(params))
-    start = _h0_start(p[_PROBE], r[_PROBE])
-    n = p.size - start
-    h = _h0_roots(p[start:], r[start:])
-    return float(_OUTER_W @ _full_rows(h[:n] - h[n:], start)) / math.log(2.0)
+    h = _h0_roots(p, r)
+    return float(_OUTER_W @ (h[:p.size] - h[p.size:])) / math.log(2.0)
 
 
 def covertness_budget_limit(eta0: float, eta_u: float) -> float:
@@ -709,13 +609,12 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     J is the no-covert effective rate up to a constant factor. Both roots z
     of the h0 terms enter through h(z), so their v-derivatives follow from
     the ln z derivatives of h (_h0_roots with slopes) and those of ln z in
-    v. All three row sums start at the lane's first node for the rate.
+    v. Each of the three sums reduces a lane's row over all outer nodes.
     """
     scheme = SimpleNamespace(variant=variant, fraction=f[:, None])  # the search checked its fractions
-    probe_p, probe_r = _h0_coefficients(lanes, scheme, _PROBE)
-    start = _h0_start(probe_p, probe_r)
-    first = start.min()
-    p, r = _h0_coefficients(lanes, scheme, slice(first, None))
+    # p and r of _downlink_coefficients at eta1 = eta0, in its order.
+    p = lanes.eta0 * (harvest_coeff(scheme) * lanes.a * lanes.b / lanes.sigma2_b)
+    r = lanes.r if variant == TS else _relay_noise_share(lanes, scheme, lanes.a)
     parts = _h0_roots(p, r, slopes=True)
     n = len(p)
     (h1, h2), (zh1_1, zh1_2), (dzh1_1, dzh1_2) = ((x[:n], x[n:]) for x in parts)
@@ -728,7 +627,7 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # N the relay noise: k = d ln r / df and dk/df in closed form.
         fc = scheme.fraction
         g = fc * (1.0 - fc)  # df/dv
-        a = lanes.a[:, first:]
+        a = lanes.a
         noise = relay_noise_power(scheme, lanes.sigma2_ra, lanes.sigma2_rc)
         k = (a / noise) * (lanes.sigma2_rc / noise) * r  # ratios: a squared power can overflow
         dk = k * (lanes.sigma2_ra + (a + lanes.sigma2_ra) * r) / noise
@@ -736,30 +635,14 @@ def _h0_slopes(lanes, variant: str, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
         lv2 = lv1 - g * k
         lvv2 = lvv1 - g * (1.0 - 2.0 * fc) * k - g * g * dk
         terms = (zh1_1 * lv1 - zh1_2 * lv2, dzh1_1 * lv1**2 + zh1_1 * lvv1 - dzh1_2 * lv2**2 - zh1_2 * lvv2)
-    # Row sums, so a lane's value does not depend on the other lanes, of the
-    # elements of _full_rows(t, start) * _OUTER_W, written into one array:
-    # every lane keeps the nodes from the last start on, the others by mask.
-    last = start.max()
-    keep = _OUTER_INDEX[first:last] >= start[:, None]
-    rows = np.zeros((n, _OUTER_T.size))
-    sums = []
-    for t in terms:
-        np.multiply(t[:, last - first:], _OUTER_W[last:], out=rows[:, last:])
-        np.multiply(t[:, :last - first], _OUTER_W[first:last], out=rows[:, first:last], where=keep)
-        sums.append(rows.sum(axis=1))
+    # One dot per row, so a lane's value does not depend on the other lanes.
+    sums = [_row_dots(t, _OUTER_W) for t in terms]
     if variant == TS:
         # J = (1 - f) / 2 * rate; the factor 1/2 is dropped.
         rate, d1, d2 = sums
         g = f * (1.0 - f)
         return (1.0 - f) * d1 - g * rate, (1.0 - f) * d2 - 2.0 * g * d1 - (1.0 - 2.0 * f) * g * rate
     return tuple(sums)
-
-
-def _h0_coefficients(lanes, scheme, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """p and r of _downlink_coefficients at eta1 = eta0 on some nodes, in its order, from a block's search rows."""
-    a = lanes.a[:, nodes]
-    p = lanes.eta0 * (harvest_coeff(scheme) * a * lanes.b / lanes.sigma2_b)
-    return p, lanes.r[:, nodes] if scheme.variant == TS else _relay_noise_share(lanes, scheme, a)
 
 
 def optimize_harvest_fractions(lanes, variant: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import statistics
 import sys
 import threading
 import time
@@ -449,17 +450,27 @@ def test_simulate_covert_rate_deterministic(params, ps):
     assert a == b
 
 
-def _optimal_on_threshold_grid(params, scheme, eta1, grid_size, seed, n_blocks=10**5):
-    # validate's threshold-optimality rule on a grid_size-point threshold grid.
+def _optimal_on_threshold_grid(params, scheme, eta1, grid_size, seed, n_blocks=10**5, factor=1.0):
+    # validate's threshold-optimality rule on a grid_size-point threshold
+    # grid, with the last threshold's offset from sigma2_a scaled by factor.
     tau_star = optimal_threshold(params, scheme, eta1)
     offsets = np.geomspace(params.sigma2_a * 1e-9, 1e3 * (tau_star - params.sigma2_a), grid_size)
-    taus = np.append(params.sigma2_a + offsets, tau_star)
+    taus = np.append(params.sigma2_a + offsets, params.sigma2_a + factor * (tau_star - params.sigma2_a))
     a_hat, b_hat = detection_curve(params, scheme, eta1, taus, n_blocks, seed, streams=GRID_STREAMS)
     return _optimal_on_grid(a_hat, b_hat, n_blocks)
 
 
 def test_threshold_optimality_fig2(params, ts):
     assert _optimal_on_threshold_grid(params, ts, 0.7, grid_size=10**4, seed=13)
+
+
+@pytest.mark.parametrize("factor", [0.25, 4.0])
+def test_threshold_optimality_rejects_a_wrong_threshold(params, ts, factor):
+    # The check must be able to fail: a threshold a quarter or four times
+    # the optimum's offset fails at 10^5 blocks (10 of 10 seeds from 13),
+    # while the optimum itself passes even at 10^6. Offsets of a half or
+    # twice the optimum's still pass at 10^5, so they show nothing.
+    assert not _optimal_on_threshold_grid(params, ts, 0.7, grid_size=10**4, seed=13, factor=factor)
 
 
 def test_threshold_optimality_near_degenerate(params, ts):
@@ -475,6 +486,10 @@ def test_simulation_report_rejects_empty(params, ts):
         simulate_covert_rate(params, ts, 0.7, 0, seed=18)
     with pytest.raises(ValueError):
         detection_curve(params, ts, 0.7, [1.0], 0, seed=19, streams=POINT_STREAMS)
+
+
+def test_z95_is_the_normal_quantile():
+    assert montecarlo.Z95 == pytest.approx(statistics.NormalDist().inv_cdf(0.975), rel=1e-15, abs=0)
 
 
 def test_stream_numbers_are_distinct():

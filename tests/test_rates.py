@@ -311,8 +311,8 @@ def test_min_detection_error_is_the_same_for_both_schemes(p, epsilon, fractions)
         assert abs(xi - xi_star) <= 1e-12 * xi_star
 
 
-def _mixed_start_points(p):
-    """p at Pa = -10 and 60 dBm: lanes whose outer rules start at different nodes."""
+def _low_and_high_power_points(p):
+    """p at Pa = -10 and 60 dBm."""
     return [p.with_updates(Pa=dbm_to_watts(-10.0)), p.with_updates(Pa=dbm_to_watts(60.0))]
 
 
@@ -363,10 +363,10 @@ edge_params = st.builds(
 @settings(max_examples=15, deadline=None)
 @given(points=st.lists(st.one_of(domain_params, edge_params), min_size=1, max_size=6))
 def test_lane_search_reaches_scipy_bounded_brent(variant, points):
-    # Mixed parameter points in one call, with lanes whose outer rules start
-    # at different nodes and a repeated point: no lane may end lower in J
+    # Mixed parameter points in one call, with lanes 70 dB apart in source
+    # power and a repeated point: no lane may end lower in J
     # than a tight bounded Brent, and each lane equals its one-lane call.
-    points = [*points, *_mixed_start_points(points[0]), points[0]]
+    points = [*points, *_low_and_high_power_points(points[0]), points[0]]
     got = optimize_harvest_fractions(lane_values(points), variant)
     for p, f in zip(points, got):
         objective = _fraction_objective(p, variant)
@@ -508,9 +508,9 @@ def _rates_and_warning_count(call):
 @settings(max_examples=15, deadline=None)
 @given(points=st.lists(domain_params, min_size=1, max_size=6), data=st.data())
 def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
-    # Lanes whose outer rules start at different nodes, and the last lane
-    # repeats the first.
-    points = [*points, *_mixed_start_points(points[0])]
+    # Lanes 70 dB apart in source power, and the last lane repeats the
+    # first.
+    points = [*points, *_low_and_high_power_points(points[0])]
     fractions = [data.draw(st.floats(0.01, 0.99)) for _ in points]
     eta1s = [data.draw(st.floats(p.eta0, p.eta_u)) for p in points]
     points, fractions, eta1s = ([*x, x[0]] for x in (points, fractions, eta1s))
@@ -526,7 +526,7 @@ def test_batched_covert_rate_equals_one_point_calls(variant, points, data):
 @pytest.mark.parametrize("variant", ["ts", "ps"])
 def test_lane_blocks_do_not_change_results(params, variant, monkeypatch):
     # Blocks of 3 distinct lanes: 8 points (7 with a surplus) make 3 blocks
-    # in each call. Lanes whose rules start at different nodes, an eta1 ==
+    # in each call. Lanes 70 dB apart in source power, an eta1 ==
     # eta0 lane, a flagged lane, and the second point repeated at the end,
     # two block boundaries after its first use.
     monkeypatch.setattr(rates, "_LANE_BLOCK", 3)
@@ -538,7 +538,7 @@ def test_lane_blocks_do_not_change_results(params, variant, monkeypatch):
         return lanes_of(values)
 
     monkeypatch.setattr(rates, "_lanes", counted)
-    points = [*_mixed_start_points(params), params, params.with_updates(d_ar=4.0),
+    points = [*_low_and_high_power_points(params), params, params.with_updates(d_ar=4.0),
               params.with_updates(Pa=1.6, eta0=0.3), params.with_updates(lambda_rb=2.0),
               params.with_updates(d_rb=14.0), params.with_updates(eta0=0.2)]
     fractions = [0.5, 0.3, 0.9, 0.5, 0.3, 0.7, 0.1, 0.6]
@@ -694,79 +694,41 @@ def _rule_scan_params():
     return corners + [default_params(**e) for e in extremes]
 
 
-def _full_rule_coefficients(p, scheme, eta1):
-    """The covert and the h0 (eta0) downlink coefficients on all outer nodes."""
-    return [rates._downlink_coefficients(p, scheme, e, rates._outer_nodes(p)) for e in (eta1, p.eta0)]
-
-
-def _starts(p, scheme, eta1):
-    """(covert start, its tail bound), and the h0 start."""
-    c, (p0, _, r0) = _full_rule_coefficients(p, scheme, eta1)
-    covert = rates._covert_start(*(x[rates._PROBE].tolist() for x in c))
-    return covert, rates._h0_start(p0[rates._PROBE], r0[rates._PROBE])
-
-
 @pytest.mark.parametrize("variant", ["ts", "ps"])
-def test_outer_rule_start_is_sound(variant):
-    # Against the full 201-node rule: the nodes before a lane's start add at
-    # most the tail bound reported in quad_error, and that bound is within
-    # 1e-17 of the sum. The same holds for the h0 rate's start. At low SNR
-    # a node's value is almost its bound, so the computed dropped sum is
-    # allowed its rounding bound too.
+def test_outer_rule_left_truncation_is_negligible(variant):
+    # The rule adds nothing for t < t0 = -45. A node's value is at most
+    # k e^t (dp / ln 2 bits for the covert rate, p nats for h0), so that mass
+    # is at most k e^(2 t0) / 2 = dp0 e^(t0) / (2 ln 2) bits, with dp0 the
+    # coefficient at the first node; likewise p0 e^(t0) / (2 ln 2) for h0.
+    t0 = float(rates._OUTER_T[0])
+    assert t0 == pytest.approx(-45.0, rel=1e-14, abs=0)
     for p, fraction in itertools.product(_rule_scan_params(), (0.05, 0.5, 0.95)):
         scheme = SchemeConfig(variant, fraction)
         for surplus in (1e-1, 1e-6):
             eta1 = p.eta0 + surplus
-            c, (p0, _, r0) = _full_rule_coefficients(p, scheme, eta1)
-            (start, tail), h0_start = _starts(p, scheme, eta1)
-            h_values = np.subtract(*np.split(rates._h0_roots(p0, r0), 2))
-            assert abs(_OUTER_W[:h0_start] @ h_values[:h0_start]) <= 1e-17 * (_OUTER_W @ h_values)
-            values, rounding = rates._covert_terms(*c)
-            full, _ = rates._outer_rule(values, rounding, 0, 0.0)
-            dropped_rounding = _OUTER_W[:start] @ rounding[:start] / math.log(2.0)
-            assert abs(_OUTER_W[:start] @ values[:start]) <= tail + dropped_rounding
-            assert tail <= 1e-17 * full
-            # The two sums may also round apart by one unit in the last place.
-            # (fc = 1 MHz, TS 0.95 at a surplus of 1e-6 is flagged by its
-            # rounding bound, on the full rule too.)
+            p0, dp0, _ = (float(x[0]) for x in rates._downlink_coefficients(p, scheme, eta1, rates._outer_nodes(p)))
             with warnings.catch_warnings():
+                # fc = 1 MHz, TS 0.95 at a surplus of 1e-6 is flagged by its
+                # rounding bound; its c_avg is still the full rule's sum.
                 warnings.filterwarnings("ignore", "covert-rate quadrature", RuntimeWarning)
-                trimmed = average_covert_rate(p, scheme, eta1).c_avg
-            assert abs(trimmed - full) <= tail + np.spacing(full)
-
-
-def test_source_power_moves_the_first_node(params):
-    low, high = _mixed_start_points(params)
-    for variant in (TS, PS):
-        ((high_start, _), high_h0), ((low_start, _), low_h0) = (
-            _starts(p, SchemeConfig(variant, 0.5), 0.7) for p in (high, low))
-        assert high_start < low_start and high_h0 < low_h0
+                c_avg = average_covert_rate(p, scheme, eta1).c_avg
+            assert dp0 * math.exp(t0) / (2.0 * math.log(2.0)) <= 1e-17 * c_avg
+            assert p0 * math.exp(t0) / (2.0 * math.log(2.0)) <= 1e-17 * expected_rate_h0(p, scheme)
 
 
 @pytest.mark.parametrize("n", [1, 80])
 def test_row_dots_equal_one_dot_per_row(n):
-    # The covert lanes reduce their rows through matmul and one-point calls
-    # by 1-D dots: a numpy whose matmul loop rounds differently must fail
-    # here rather than change output bytes. Rows hold zeros before each
-    # start a lane can have; the coarse rule takes every other node, the
-    # rounding bound the nodes from the start on.
+    # The covert lanes and the fraction search reduce their rows through
+    # matmul and one-point calls by 1-D dots: a numpy whose matmul loop
+    # rounds differently must fail here rather than change output bytes.
+    # The coarse rule takes every other node.
     rng = np.random.default_rng(n)
     w_half = rates._OUTER_W_HALF
-    for start in range(90, _OUTER_W.size):
+    for _ in range(100):
         rows = rng.standard_normal((n, _OUTER_W.size)) * 10.0 ** rng.integers(-8, 8, (n, 1))
-        rows[:, :start] = 0.0
         for got, want in [(rates._row_dots(rows, _OUTER_W), [_OUTER_W @ row for row in rows]),
-                          (rates._row_dots(rows[:, ::2], w_half), [w_half @ row[::2] for row in rows]),
-                          (rates._row_dots(rows[:, start:], _OUTER_W[start:]),
-                           [_OUTER_W[start:] @ row[start:] for row in rows])]:
+                          (rates._row_dots(rows[:, ::2], w_half), [w_half @ row[::2] for row in rows])]:
             assert got.tobytes() == np.array(want).tobytes()
-
-
-def test_full_rows_zero_each_row_before_its_own_start():
-    rows = rates._full_rows(np.ones((2, 3)), np.array([198, 199]))
-    assert rows.shape == (2, _OUTER_W.size)
-    assert rows.sum(axis=1).tolist() == [3.0, 2.0]
-    assert not rows[:, :198].any()
 
 
 def _count_h_elements(monkeypatch) -> list:
