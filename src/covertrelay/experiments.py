@@ -174,6 +174,9 @@ def run_fig2(
 
 def run_fig3(params: SystemParams, fraction="auto", variants=_DEFAULT_VARIANTS) -> list[dict]:
     """Maximum effective covert rate versus source power, per scheme and eta0."""
+    if params.eta_u < max(FIG3_ETA0):  # else with_updates names the grid's eta0 as if it were the config's
+        raise ValueError(f"fig3 runs eta0 at {' and '.join(map(str, FIG3_ETA0))}, so eta_u must be at least "
+                         f"{max(FIG3_ETA0)}, got eta_u={params.eta_u}")
     grid = [(eta0, pa_dbm) for eta0 in FIG3_ETA0 for pa_dbm in FIG3_PA_DBM]
     points = [params.with_updates(Pa=dbm_to_watts(pa_dbm), eta0=eta0) for eta0, pa_dbm in grid]
     extras = [{"pa_dbm": float(pa_dbm)} for _, pa_dbm in grid]

@@ -63,6 +63,7 @@ in order.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -309,7 +310,6 @@ def _add_block(params, scheme, eta1, draw, sums, cross, shift: float | None) -> 
     next block's temporaries.
     """
     snr = relaying.covert_snr(params, scheme, eta1, draw)
-    snr += 1.0
     w = np.empty((_CONTROLS + 1, snr.size))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero draw; see _control_variate
         for i, (g, lam) in enumerate(((draw.g_ar, params.lambda_ar), (draw.g_rb, params.lambda_rb))):
@@ -318,7 +318,9 @@ def _add_block(params, scheme, eta1, draw, sums, cross, shift: float | None) -> 
             np.divide(g, lam, out=w[2 + i])
         np.multiply(w[2], w[3], out=w[4])
         w[2:5] -= 1.0
-        np.log2(snr, out=w[5])
+        # log1p: rounding 1 + snr would err by about 1.1e-16 / snr relative.
+        np.log1p(snr, out=w[5])
+        w[5] /= math.log(2.0)
         draw.g_ar[...] = w[5]
         if shift is None:
             shift = float(np.mean(w[5]))

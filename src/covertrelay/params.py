@@ -272,6 +272,21 @@ CONFIG_FIELDS = {f.key: f for f in (
     ConfigField("epsilon", "-", float, 0.1, "epsilon", "covertness parameter"),
 )}
 
+# The validated domain in config units: eta0 lies in [ETA0_LOW, eta_u - ETA0_GAP]
+# and keys not named keep their defaults. The eta_u floor is fig3's top eta0
+# (0.4) plus ETA0_GAP, so every command runs on every config of the domain.
+DOMAIN = {
+    "Pa": (-10.0, 32.0),
+    "d_ar": (2.0, 20.0),
+    "d_rb": (2.0, 20.0),
+    "lambda_ar": (0.5, 2.0),
+    "lambda_rb": (0.5, 2.0),
+    "eta_u": (0.45, 0.9),
+    "epsilon": (0.01, 0.5),
+}
+ETA0_LOW = 0.05
+ETA0_GAP = 0.05
+
 
 class ConfigError(ValueError):
     """Raised on malformed parameter files; carries the offending line number."""

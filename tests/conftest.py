@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from covertrelay import SchemeConfig, SystemParams, default_params, montecarlo
-from covertrelay.params import PS, TS
+from covertrelay.params import CONFIG_FIELDS, DOMAIN, ETA0_GAP, ETA0_LOW, PS, TS
 
 # Draw counts around the Monte Carlo streaming block size, plus one 10^6 run.
 B = montecarlo._BLOCK
@@ -42,15 +43,18 @@ def ps() -> SchemeConfig:
     return SchemeConfig(PS, 0.5)
 
 
+def domain_point(values: dict, u: float, base: SystemParams | None = None) -> SystemParams:
+    """base (default: the defaults) at config-unit values of DOMAIN keys, eta0 a share u of its range."""
+    si = {key: CONFIG_FIELDS[key].to_si(value) for key, value in values.items()}
+    si["eta0"] = ETA0_LOW + u * (values["eta_u"] - ETA0_GAP - ETA0_LOW)
+    return (base or default_params()).with_updates(**si)
+
+
+# params.DOMAIN as a hypothesis strategy: eta_u is drawn before eta0.
+domain_params = st.builds(domain_point, st.fixed_dictionaries({key: st.floats(*r) for key, r in DOMAIN.items()}),
+                          st.floats(0.0, 1.0))
+
+
 def random_params(rng: np.random.Generator, base: SystemParams) -> SystemParams:
-    """Random but physically sane parameter set for property sweeps."""
-    eta0 = rng.uniform(0.1, 0.5)
-    return base.with_updates(
-        Pa=10 ** (rng.uniform(0.0, 30.0) / 10.0) * 1e-3,
-        d_ar=rng.uniform(3.0, 20.0),
-        d_rb=rng.uniform(3.0, 20.0),
-        lambda_ar=rng.uniform(0.5, 2.0),
-        lambda_rb=rng.uniform(0.5, 2.0),
-        eta0=eta0,
-        eta_u=rng.uniform(eta0 + 0.1, 0.9),
-    )
+    """base at a config drawn uniformly from params.DOMAIN, seeded for property sweeps."""
+    return domain_point({key: rng.uniform(lo, hi) for key, (lo, hi) in DOMAIN.items()}, rng.uniform(), base)

@@ -16,6 +16,8 @@ from covertrelay import (
     SchemeConfig,
     allocate_powers,
     average_covert_rate,
+    covert_snr,
+    covert_snr_reduced,
     detection_error,
     harvested_power_total,
     min_detection_error,
@@ -135,7 +137,9 @@ def test_criterion_4_power_allocation_invariants():
             alloc = allocate_powers(p, scheme, eta1, draw)
             total = harvested_power_total(p, scheme, eta1, draw.g_ar)
             assert np.max(np.abs(alloc.pr1 + alloc.prc - total) / total) <= 1e-12
-    _report(4, "1e4 tuples per scheme: SNR match 1e-10, energy split 1e-12",
+            reduced = covert_snr_reduced(p, scheme, eta1, draw)
+            assert np.max(np.abs(covert_snr(p, scheme, eta1, draw) - reduced) / reduced) <= 1e-12
+    _report(4, "1e4 tuples per scheme: SNR match 1e-10, energy split and covert-SNR forms 1e-12",
             time.monotonic() - start, cap=10.0)
 
 

@@ -81,6 +81,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert line.startswith(f"config error: {prefix}")
 
 
+def test_fig3_names_its_own_eta0_grid(tmp_path, capsys):
+    # The config's eta0 is valid; fig3's grid value 0.4 is not, below eta_u.
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("eta0 = 0.1\neta_u = 0.3\n", encoding="utf-8")
+    assert main(["fig3", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fig3 runs eta0 at 0.2 and 0.4, so eta_u must be at least 0.4, got eta_u=0.3\n"
+
+
 def test_fig2_rejects_zero_mc_blocks(capsys):
     assert main(["fig2", "--mc-blocks", "0"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --mc-blocks must be at least 1, got 0\n"

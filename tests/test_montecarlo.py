@@ -1,3 +1,5 @@
+import itertools
+import math
 import statistics
 import sys
 import threading
@@ -26,7 +28,7 @@ from covertrelay.experiments import csv_bytes, run_fig2
 from covertrelay.params import PS, TS, dbm_to_watts
 from covertrelay.validate import _optimal_on_grid, _proportion_halfwidth, run_validation
 
-from conftest import B, BLOCK_EDGE_SIZES, random_params
+from conftest import B, BLOCK_EDGE_SIZES
 
 XI_STAR_4_7 = 0.8973990224044965
 
@@ -101,25 +103,6 @@ def test_detection_curve_deterministic(params, ts):
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("variant", ["ts", "ps"])
-def test_detection_rates_within_three_sigma(params, variant):
-    rng = np.random.default_rng(6 if variant == "ts" else 7)
-    n = 10**5
-    for trial in range(5):
-        p = random_params(rng, params)
-        scheme = SchemeConfig(variant, rng.uniform(0.1, 0.9))
-        eta1 = rng.uniform(p.eta0 * 1.05, p.eta_u)
-        k1 = statistic_scale(p, scheme, eta1)
-        tau = p.sigma2_a + rng.uniform(0.05, 20.0) * k1 * p.lambda_ar**2
-        a_hat, b_hat = detection_curve(p, scheme, eta1, [tau], n, seed=50 + trial, streams=POINT_STREAMS)
-        a = false_alarm(p, scheme, tau)
-        b = miss_detection(p, scheme, eta1, tau)
-        se_a = max(np.sqrt(a * (1 - a) / n), 1.0 / n)
-        se_b = max(np.sqrt(b * (1 - b) / n), 1.0 / n)
-        assert abs(a_hat[0] - a) <= 3 * se_a
-        assert abs(b_hat[0] - b) <= 3 * se_b
-
-
 def test_detection_curve_matches_pointwise(params, ts):
     taus = np.geomspace(params.sigma2_a, params.sigma2_a * 100.0, 7)
     n = 10**5
@@ -151,7 +134,7 @@ def _one_shot_covert_rate(params, scheme, eta1, n_blocks, seed):
         g_ar=rng.exponential(params.lambda_ar, n_blocks),
         g_rb=rng.exponential(params.lambda_rb, n_blocks),
     )
-    values = np.log2(1.0 + covert_snr(params, scheme, eta1, draw))
+    values = np.log1p(covert_snr(params, scheme, eta1, draw)) / math.log(2.0)
     half = montecarlo.Z95 * float(np.std(values, ddof=1)) / np.sqrt(n_blocks) if n_blocks > 1 else np.nan
     return float(np.mean(values)), half
 
@@ -189,7 +172,7 @@ def _one_shot_control_variate(params, scheme, eta1, n_blocks, seed):
     rng = substream(seed, montecarlo.STREAM_RATE)
     g_ar = rng.exponential(params.lambda_ar, n_blocks)
     g_rb = rng.exponential(params.lambda_rb, n_blocks)
-    y = np.log2(1.0 + covert_snr(params, scheme, eta1, ChannelDraw(g_ar=g_ar, g_rb=g_rb)))
+    y = np.log1p(covert_snr(params, scheme, eta1, ChannelDraw(g_ar=g_ar, g_rb=g_rb))) / math.log(2.0)
     u, v = g_ar / params.lambda_ar, g_rb / params.lambda_rb
     x = np.column_stack([np.ones(n_blocks), np.log(u) + np.euler_gamma, np.log(v) + np.euler_gamma,
                          u - 1.0, v - 1.0, u * v - 1.0])
@@ -442,6 +425,26 @@ def test_simulate_covert_rate_ci_scaling(params, ts):
     rep2 = simulate_covert_rate(params, ts, 0.7, 2 * 10**5, seed=11)
     ratio = rep2.ci_halfwidth / rep1.ci_halfwidth
     assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.10)
+
+
+def test_ci_halfwidth_covers_the_quadrature_rate(params):
+    # c_hat +- ci_halfwidth is a 95% interval for the rate's mean, which the
+    # quadrature gives to 1e-6. 200 seeds in each of four cells (TS and PS
+    # at 0 and 20 dBm), no seed in two cells, pool 800 independent intervals
+    # at 4096 draws. The count covered must lie in the central range of
+    # Binomial(800, 0.95) that leaves 5e-5 in each tail: a false-failure
+    # budget of 1e-4.
+    n_draws, per_cell = 4096, 200
+    covered = 0
+    for cell, (variant, pa_dbm) in enumerate(itertools.product((TS, PS), (0.0, 20.0))):
+        point = params.with_updates(Pa=dbm_to_watts(pa_dbm))
+        scheme = SchemeConfig(variant, 0.5)
+        c_avg = average_covert_rate(point, scheme, 0.7).c_avg
+        for seed in range(cell * per_cell, (cell + 1) * per_cell):
+            rep = simulate_covert_rate(point, scheme, 0.7, n_draws, seed)
+            covered += abs(rep.c_hat - c_avg) <= rep.ci_halfwidth
+    trials = 4 * per_cell
+    assert stats.binom.ppf(5e-5, trials, 0.95) <= covered <= stats.binom.isf(5e-5, trials, 0.95)
 
 
 def test_simulate_covert_rate_deterministic(params, ps):

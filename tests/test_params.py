@@ -1,5 +1,7 @@
 import math
+import pathlib
 import re
+import runpy
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +18,8 @@ from covertrelay import (
     path_loss,
     relay_noise_power,
 )
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 # Independently computed: (3e8 / (4 pi 9e8))^2 = 1 / (144 pi^2).
 NU_900MHZ = 7.036193308495677e-4
@@ -178,6 +182,22 @@ def test_config_table_is_the_parameter_schema():
         if "=" in line and not line.startswith("#")
     ]
     assert template_keys == keys + ["scheme", "fraction"]
+
+
+def test_domain_is_config_keys_around_their_defaults():
+    for key, (lo, hi) in cp.DOMAIN.items():
+        assert lo < cp.CONFIG_FIELDS[key].default < hi, key
+    eta_u = cp.CONFIG_FIELDS["eta_u"].default
+    assert cp.ETA0_LOW <= cp.CONFIG_FIELDS["eta0"].default <= eta_u - cp.ETA0_GAP
+
+
+def test_benchmark_domain_lies_in_the_declared_domain():
+    # The benchmark draws its configs from its own copy of the ranges.
+    workloads = runpy.run_path(str(BENCHMARKS / "workloads.py"))
+    for key, (lo, hi) in workloads["DOMAIN"].items():
+        assert cp.DOMAIN[key][0] <= lo < hi <= cp.DOMAIN[key][1], key
+    assert workloads["ETA0_LOW"] >= cp.ETA0_LOW
+    assert workloads["ETA0_GAP"] >= cp.ETA0_GAP
 
 
 def test_config_template_roundtrip():

@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, optimize
 
 from covertrelay import (
@@ -27,7 +27,7 @@ from covertrelay import (
 )
 from covertrelay import rates
 from covertrelay.experiments import FIG4_EPSILONS, fig4_eta0_grid, run_fig4
-from covertrelay.params import PS, TS, dbm_to_watts, effective_rate_prefactor
+from covertrelay.params import DOMAIN, PS, TS, dbm_to_watts, effective_rate_prefactor
 from covertrelay.rates import (
     _ASYMPTOTIC_Z,
     _H_PAIR_INACCURATE_Z,
@@ -48,7 +48,7 @@ from covertrelay.rates import (
     optimize_harvest_fractions,
 )
 
-from conftest import random_params
+from conftest import domain_params, domain_point, random_params
 
 # Frozen via the bisection/threshold oracle (tests/test_detection.py freezes
 # the underlying phi_epsilon at 0.5796446584...).
@@ -209,18 +209,6 @@ def test_max_effective_rate_plateau_beyond_budget(params, ts, ps):
         assert abs(psi1 - psi2) <= 1e-12 * max(psi1, 1e-300)
 
 
-
-
-def test_psi_increasing_in_eta1(params, ts, ps):
-    rng = np.random.default_rng(11)
-    for scheme in (ts, ps):
-        for _ in range(5):
-            p = random_params(rng, params)
-            etas = np.linspace(p.eta0, p.eta_u, 20)
-            psi = [average_covert_rate(p, scheme, e).psi for e in etas]
-            assert all(b > a for a, b in zip(psi, psi[1:]))
-
-
 def test_psi_star_nondecreasing_in_pa(params, ts):
     points = [params.with_updates(Pa=pa) for pa in (0.001, 0.01, 0.1, 1.0)]
     psi = [average_covert_rate(p, ts, optimal_eta1(p)[0]).psi for p in points]
@@ -270,39 +258,12 @@ def test_ts_objective_vanishes_at_boundaries(params):
     assert objective(1.0 - 1e-9) < 1e-3 * interior
 
 
-@pytest.mark.parametrize("variant", ["ts", "ps"])
-def test_quadrature_vs_monte_carlo_random_sets(params, variant):
-    rng = np.random.default_rng(21 if variant == "ts" else 22)
-    for trial in range(3):
-        p = random_params(rng, params)
-        scheme = SchemeConfig(variant, rng.uniform(0.2, 0.8))
-        eta1 = rng.uniform(p.eta0 + 0.05 * (p.eta_u - p.eta0), p.eta_u)
-        rate = average_covert_rate(p, scheme, eta1)
-        rep = simulate_covert_rate(p, scheme, eta1, 10**5, seed=100 + trial)
-        assert abs(rate.c_avg - rep.c_hat) / rate.c_avg <= 0.02
-
-
-# The benchmark domain (config units), as in benchmarks/workloads.py.
-DOMAIN = {"Pa": (-10.0, 32.0), "d_ar": (2.0, 18.0), "d_rb": (2.0, 18.0), "lambda_ar": (0.5, 2.0),
-          "lambda_rb": (0.5, 2.0), "eta_u": (0.6, 0.9)}
-
-
-def _domain_point(pa, d_ar, d_rb, lambda_ar, lambda_rb, eta_u, u):
-    """Config-unit domain values as params, with eta0 a share u of [0.05, eta_u - 0.05]."""
-    return default_params(Pa=dbm_to_watts(pa), d_ar=d_ar, d_rb=d_rb, lambda_ar=lambda_ar, lambda_rb=lambda_rb,
-                          eta_u=eta_u, eta0=0.05 + u * (eta_u - 0.1))
-
-
-domain_params = st.builds(_domain_point, *(st.floats(*r) for r in DOMAIN.values()), st.floats(0.0, 1.0))
-
-
 @settings(max_examples=100, deadline=None)
-@given(p=domain_params, epsilon=st.floats(0.01, 0.5), fractions=st.tuples(*[st.floats(0.05, 0.99)] * 2))
-def test_min_detection_error_is_the_same_for_both_schemes(p, epsilon, fractions):
+@given(p=domain_params, fractions=st.tuples(*[st.floats(0.05, 0.99)] * 2))
+def test_min_detection_error_is_the_same_for_both_schemes(p, fractions):
     # The paper's claim (i): at each scheme's own optimal threshold the
     # detection error is xi*(eta0 / eta1*), which names no scheme. Over 300
     # random domain configs the worst relative difference was 3.3e-16.
-    p = p.with_updates(epsilon=epsilon)
     eta1 = optimal_eta1(p)[0]
     xi_star = min_detection_error(p.eta0 / eta1)
     for variant, fraction in zip((TS, PS), fractions):
@@ -423,10 +384,26 @@ def _invariant_outputs(p, variant, fraction, eta1):
             simulate_covert_rate(p, scheme, eta1, 1000, seed=3).c_hat)
 
 
+def _pinned(pa_dbm, d_ar, d_rb, lambda_ar, lambda_rb, eta_u, eta0):
+    return default_params(Pa=dbm_to_watts(pa_dbm), d_ar=d_ar, d_rb=d_rb, lambda_ar=lambda_ar, lambda_rb=lambda_rb,
+                          eta_u=eta_u, eta0=eta0)
+
+
+# Low-SNR points where c_hat once moved by up to 2e-14 under a map: the
+# Monte Carlo rounded 1 + snr before taking log2.
 @pytest.mark.parametrize("invariance", ["P", "G"])
 @settings(max_examples=80, deadline=None)
 @given(p=domain_params, s=st.floats(-1.0, 1.0), variant=st.sampled_from([TS, PS]),
        fraction=st.floats(0.05, 0.95), u=st.floats(0.0, 1.0))
+@example(p=_pinned(0.09493499257983198, 9.225503208339036, 7.840356904774674, 0.6818314037679338,
+                   0.6818314037679338, 0.7578125, 0.5087115900675048),
+         s=0.0625, variant=PS, fraction=0.19720678298169264, u=0.09493499257983198)
+@example(p=_pinned(-2.709557653767197, 5.696986608694687, 17.866953865175457, 0.644489427462386,
+                   1.6804310512355574, 0.7306677953041967, 0.15864497689496343),
+         s=1.0, variant=PS, fraction=0.09407516229559415, u=0.18904656080821308)
+@example(p=_pinned(6.103515625e-05, 14.173667092172618, 2.0, 0.8613104194214946, 1.1829833776241925,
+                   0.6028118726592665, 0.4742475175562561),
+         s=1.0, variant=TS, fraction=0.23677834047549484, u=0.0)
 def test_outputs_are_scale_invariant(invariance, p, s, variant, fraction, u):
     # Over 600 draws per map, c_avg moved by up to 2.7e-14 relative, growing
     # like eta1 / (eta1 - eta0): the signed h-sum cancels to the size of the
@@ -688,7 +665,9 @@ def _rule_scan_params():
 
     The high eta0 leaves room for a surplus of 0.1 below eta_u.
     """
-    corners = [_domain_point(*values, 0.8 * (i % 2)) for i, values in enumerate(itertools.product(*DOMAIN.values()))]
+    keys = [key for key in DOMAIN if key != "epsilon"]
+    corners = [domain_point(dict(zip(keys, values)), 0.8 * (i % 2))
+               for i, values in enumerate(itertools.product(*(DOMAIN[key] for key in keys)))]
     extremes = [{"Pa": dbm_to_watts(pa)} for pa in (60.0, 100.0, 150.0, 200.0)]
     extremes += [{"d_ar": 1e-3}, {"fc": 1e6}, {"sigma2_ba": dbm_to_watts(-200.0)}]
     return corners + [default_params(**e) for e in extremes]
